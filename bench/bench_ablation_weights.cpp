@@ -1,11 +1,11 @@
 // Ablation A2: sensitivity of the design to the objective weights.
 //
-// DESIGN.md fixes w1P = w1m = 1 and w2P = w2m = 2 (the paper gives the
-// objective's form but not the values). This ablation re-runs MH under
-// different weight ratios and reports both the resulting metrics and the
-// future-fit rate, showing that (a) emphasizing C2 is what protects the
-// periodic slack, and (b) the conclusion "MH supports incremental design"
-// is robust across reasonable weightings.
+// The repo fixes w1P = w1m = 1 and w2P = w2m = 2 (core/metrics.h; the
+// paper gives the objective's form but not the values). This ablation
+// re-runs MH under different weight ratios and reports both the resulting
+// metrics and the future-fit rate, showing that (a) emphasizing C2 is what
+// protects the periodic slack, and (b) the conclusion "MH supports
+// incremental design" is robust across reasonable weightings.
 //
 // The weight cases × seeds grid runs through the sharded BatchRunner
 // (core/batch_suites.h weightsSweep), future-fit counts via the probe.

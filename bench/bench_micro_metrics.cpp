@@ -1,6 +1,5 @@
-// Micro-benchmarks of the design metrics (ablation A4 in DESIGN.md):
-// C1 best-fit packing and C2 window scans, at realistic slack-fragment
-// counts.
+// Micro-benchmarks of the design metrics (ablation A4): C1 best-fit
+// packing and C2 window scans, at realistic slack-fragment counts.
 #include <benchmark/benchmark.h>
 
 #include "core/evaluator.h"

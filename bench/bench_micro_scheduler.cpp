@@ -1,4 +1,4 @@
-// Micro-benchmarks of the evaluation inner loop (ablation A3 in DESIGN.md):
+// Micro-benchmarks of the evaluation inner loop (ablation A3):
 // platform-state copy, list scheduling, slack extraction. These dominate
 // the runtime of MH and SA, so their throughput is what makes the paper's
 // heuristics tractable at 400+320 processes.

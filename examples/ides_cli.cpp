@@ -4,7 +4,7 @@
 //   stats    [--nodes N --existing E --current C --seed S]
 //            generate a suite and print its statistics report
 //   design   [--strategy NAME] [--sa-iters N] [--restarts K] [--threads T]
-//            [--spec-workers W] [--spec-depth D] [--deadline S] [suite flags]
+//            [--deadline S] [suite flags]
 //            run one registered strategy, print metrics and validation
 //   schedule [--out FILE] [suite flags]
 //            run MH and dump the merged schedule (CSV form, stdout or file)
@@ -107,8 +107,6 @@ struct CliArgs {
   int saIterations = 0;  // 0 = SaOptions default
   int threads = 0;       // PSA: 0 = hardware concurrency
   int restarts = 4;      // PSA: chains
-  int specWorkers = 0;   // SA: speculative eval workers (0 = off; PSA: auto)
-  int specDepth = 0;     // max speculation depth (0 = 4 * workers)
   bool listStrategies = false;
   std::string suiteName;   // sweep: which paper sweep to run
   std::string scaleName;   // sweep: explicit scale (else IDES_BENCH_SCALE)
@@ -153,9 +151,6 @@ void usage() {
       "  --sa-iters N   SA iterations (per chain for PSA)\n"
       "  --restarts K   PSA chains               (default 4)\n"
       "  --threads T    PSA threads, 0 = all cores (default 0)\n"
-      "  --spec-workers W  speculative eval workers per SA chain\n"
-      "                 (SA default 1 = off; PSA default 0 = auto split)\n"
-      "  --spec-depth D max speculation depth (default 4 * workers)\n"
       "  --deadline S   cooperative wall-clock budget in seconds; the run\n"
       "                 stops early with its best solution so far\n"
       "  --json         design: print the deterministic result JSON (the\n"
@@ -273,10 +268,6 @@ bool parse(int argc, char** argv, CliArgs& args) {
       args.restarts = std::stoi(value);
     } else if (flag == "--threads") {
       args.threads = std::stoi(value);
-    } else if (flag == "--spec-workers") {
-      args.specWorkers = std::stoi(value);
-    } else if (flag == "--spec-depth") {
-      args.specDepth = std::stoi(value);
     } else if (flag == "--suite") {
       args.suiteName = value;
     } else if (flag == "--shards") {
@@ -363,18 +354,23 @@ Suite makeSuite(const CliArgs& args) {
   return buildSuite(cfg, args.seed);
 }
 
+/// The design knobs as the spec the daemon accepts, so the CLI and
+/// ides_serve derive DesignerOptions through the same code.
+DesignJobSpec designJobSpec(const CliArgs& args) {
+  DesignJobSpec spec;
+  spec.nodes = args.nodes;
+  spec.existing = args.existing;
+  spec.current = args.current;
+  spec.seed = args.seed;
+  spec.strategy = args.strategy;
+  spec.saIterations = args.saIterations;
+  spec.restarts = args.restarts;
+  spec.threads = args.threads;
+  return spec;
+}
+
 DesignerOptions designerOptions(const CliArgs& args) {
-  DesignerOptions opts;
-  opts.sa.seed = args.seed;
-  if (args.saIterations > 0) opts.sa.iterations = args.saIterations;
-  opts.psa.threads = args.threads;
-  opts.psa.restarts = args.restarts;
-  // SA reads the chain-level speculation knobs; PSA auto-splits its thread
-  // budget unless --spec-workers pins the per-chain worker count.
-  if (args.specWorkers > 0) opts.sa.speculation.workers = args.specWorkers;
-  if (args.specDepth > 0) opts.sa.speculation.maxDepth = args.specDepth;
-  opts.psa.speculativeWorkers = args.specWorkers;
-  return opts;
+  return designJobOptions(designJobSpec(args));
 }
 
 int cmdListStrategies() {
@@ -395,7 +391,7 @@ int cmdStats(const CliArgs& args) {
 }
 
 /// Registry-resolved strategy run with the optional --deadline stop token.
-DesignResult runStrategy(IncrementalDesigner& designer, const CliArgs& args) {
+RunReport runStrategy(IncrementalDesigner& designer, const CliArgs& args) {
   StopToken stop;
   RunContext context;
   if (args.deadlineSeconds > 0.0) {
@@ -413,25 +409,13 @@ int cmdDesignJson(const CliArgs& args) {
     std::fprintf(stderr, "--json supports generated suites only\n");
     return 2;
   }
-  DesignJobSpec spec;
-  spec.nodes = args.nodes;
-  spec.existing = args.existing;
-  spec.current = args.current;
-  spec.seed = args.seed;
-  spec.strategy = args.strategy;
-  spec.saIterations = args.saIterations;
-  spec.restarts = args.restarts;
-  spec.threads = args.threads;
-  spec.specWorkers = args.specWorkers;
-  spec.specDepth = args.specDepth;
-
   StopToken stop;
   RunContext context;
   if (args.deadlineSeconds > 0.0) {
     stop.setTimeout(args.deadlineSeconds);
     context.stop = &stop;
   }
-  const DesignJobResult result = runDesignJob(spec, context);
+  const DesignJobResult result = runDesignJob(designJobSpec(args), context);
   std::fputs(designResultJson(result, /*timing=*/false).c_str(), stdout);
   return result.validationOk && result.result.feasible ? 0 : 1;
 }
@@ -441,9 +425,9 @@ int cmdDesign(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
                                designerOptions(args));
-  const DesignResult r = runStrategy(designer, args);
+  const RunReport r = runStrategy(designer, args);
   std::printf("strategy: %s\nfeasible: %s\nobjective C: %.2f\n",
-              r.strategyName.c_str(), r.feasible ? "yes" : "no",
+              r.strategy.c_str(), r.feasible ? "yes" : "no",
               r.objective);
   if (r.stopped) std::puts("stopped: deadline/cancellation hit");
   std::printf("metrics: C1P=%.2f%% C1m=%.2f%% C2P=%lld C2m=%lldB\n",
@@ -470,7 +454,7 @@ int cmdSchedule(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
                                designerOptions(args));
-  const DesignResult r = runStrategy(designer, args);
+  const RunReport r = runStrategy(designer, args);
   if (!r.feasible) {
     std::fputs("no feasible design\n", stderr);
     return 1;

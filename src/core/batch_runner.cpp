@@ -26,7 +26,7 @@ InstanceOutcome runBatchInstance(const BatchInstance& instance,
   const std::unique_ptr<Optimizer> optimizer =
       StrategyRegistry::builtin().create(instance.strategy, instance.options);
 
-  // A fresh context per instance: the pool lease must not outlive this
+  // A fresh context per instance: its EvalContext must not outlive this
   // instance's evaluator.
   RunContext context;
   context.stop = stop;

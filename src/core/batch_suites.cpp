@@ -137,8 +137,8 @@ InstanceSuite weightsSweep(const SweepScale& scale) {
     const char* name;
     MetricWeights weights;
   };
-  // DESIGN.md's defaults are w1 = 1, w2 = 2; the ablation spans dropping
-  // C2 entirely up to weighting it 8x.
+  // The defaults are w1 = 1, w2 = 2 (see core/metrics.h); the ablation
+  // spans dropping C2 entirely up to weighting it 8x.
   const std::vector<WeightCase> cases = {
       {"C1-only (w2=0)", {1.0, 1.0, 0.0, 0.0}},
       {"balanced (w2=1)", {1.0, 1.0, 1.0, 1.0}},
@@ -205,9 +205,7 @@ InstanceSuite incrementsSweep(const SweepScale& scale) {
         queue.insert(queue.end(), futures.begin(), futures.end());
 
         MultiIncrementOptions options;
-        options.strategy = inst.strategy == "MH"
-                               ? Strategy::MappingHeuristic
-                               : Strategy::AdHoc;
+        options.strategy = inst.strategy;
         options.stop = stop;
         const MultiIncrementResult result = runIncrementSequence(
             generated.system, generated.profile, queue, options);
@@ -294,9 +292,8 @@ void hashDesignerOptions(Fnv1aHasher& h, const DesignerOptions& opts) {
   h.f64(opts.tabu.probRemap);
   h.f64(opts.tabu.probProcessHint);
   // Excluded by design (bit-identical results across all values, asserted
-  // by the optimizer/speculation test suites): sa.incrementalEval,
-  // sa.recordCostTrace, sa.speculation.*, psa.threads,
-  // psa.speculativeWorkers, tabu.incrementalEval, and the stop tokens.
+  // by the optimizer and annealing test suites): sa.incrementalEval,
+  // psa.threads, tabu.incrementalEval, and the stop tokens.
 }
 
 }  // namespace

@@ -557,20 +557,4 @@ EvalResult EvalContext::run(const MappingSolution& solution,
   return result;
 }
 
-// ---- EvalContextPool ------------------------------------------------------
-
-EvalContextPool::EvalContextPool(const SolutionEvaluator& evaluator,
-                                 std::size_t size) {
-  for (std::size_t w = 0; w < size; ++w) {
-    contexts_.emplace_back(evaluator);
-  }
-}
-
-void EvalContextPool::resync(const MappingSolution& solution,
-                             const MoveHint& hint) {
-  for (EvalContext& ctx : contexts_) {
-    ctx.evaluate(solution, hint);
-  }
-}
-
 }  // namespace ides

@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/future_profile.h"
@@ -333,39 +332,6 @@ class EvalContext {
   std::size_t zeroDeltaServes_ = 0;
   std::size_t lastRestartGraph_ = 0;
   std::size_t lastRestartPos_ = 0;
-};
-
-/// Fixed-size pool of per-worker EvalContexts over one shared evaluator —
-/// the substrate of speculative execution (core/speculative_eval.h). Each
-/// parallel evaluation worker owns context [w] exclusively; after a move
-/// commits, resync() re-aligns every context with the committed solution,
-/// each rewinding to its checkpoint before the first graph its own
-/// reference disagrees on and re-scheduling only from there.
-///
-/// resync() runs the contexts sequentially on the calling thread. The
-/// speculative engine does not even need the explicit call: a context
-/// re-aligns on its next evaluate (the verified hint triggers the same
-/// checkpoint rewind), overlapping the catch-up with useful work.
-class EvalContextPool {
- public:
-  EvalContextPool(const SolutionEvaluator& evaluator, std::size_t size);
-
-  EvalContextPool(const EvalContextPool&) = delete;
-  EvalContextPool& operator=(const EvalContextPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return contexts_.size(); }
-  [[nodiscard]] EvalContext& operator[](std::size_t w) {
-    return contexts_[w];
-  }
-
-  /// Bring every context's checkpoints in line with `solution`. The hint
-  /// names the graph of the committing move; each context verifies it
-  /// against its own reference, so a context that had evaluated a different
-  /// speculation restarts earlier automatically.
-  void resync(const MappingSolution& solution, const MoveHint& hint);
-
- private:
-  std::deque<EvalContext> contexts_;  // deque: EvalContext is pinned
 };
 
 }  // namespace ides

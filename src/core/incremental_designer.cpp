@@ -7,45 +7,6 @@
 
 namespace ides {
 
-const char* toString(Strategy s) {
-  switch (s) {
-    case Strategy::AdHoc: return "AH";
-    case Strategy::MappingHeuristic: return "MH";
-    case Strategy::SimulatedAnnealing: return "SA";
-    case Strategy::ParallelAnnealing: return "PSA";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Enum value for a registry name, for DesignResult's deprecated shim
-/// field. Custom strategies fall back to AdHoc (strategyName is
-/// authoritative).
-Strategy strategyEnumFor(const std::string& name) {
-  if (name == "MH") return Strategy::MappingHeuristic;
-  if (name == "SA") return Strategy::SimulatedAnnealing;
-  if (name == "PSA") return Strategy::ParallelAnnealing;
-  return Strategy::AdHoc;
-}
-
-DesignResult toDesignResult(RunReport&& report) {
-  DesignResult result;
-  result.strategyName = report.strategy;
-  result.strategy = strategyEnumFor(report.strategy);
-  result.feasible = report.feasible;
-  result.mapping = std::move(report.mapping);
-  result.schedule = std::move(report.schedule);
-  result.metrics = report.metrics;
-  result.objective = report.objective;
-  result.seconds = report.seconds;
-  result.evaluations = report.evaluations;
-  result.stopped = report.stopped;
-  return result;
-}
-
-}  // namespace
-
 IncrementalDesigner::IncrementalDesigner(const SystemModel& sys,
                                          FutureProfile profile,
                                          DesignerOptions options)
@@ -61,38 +22,32 @@ IncrementalDesigner::IncrementalDesigner(const SystemModel& sys,
       sys, frozen_.state, std::move(profile), options_.weights);
 }
 
-DesignResult IncrementalDesigner::run(const std::string& strategyName) {
+RunReport IncrementalDesigner::run(const std::string& strategyName) {
   return run(strategyName, context_);
 }
 
-DesignResult IncrementalDesigner::run(const std::string& strategyName,
-                                      RunContext& context) {
+RunReport IncrementalDesigner::run(const std::string& strategyName,
+                                   RunContext& context) {
+  return run(strategyName, context, nullptr);
+}
+
+RunReport IncrementalDesigner::run(const Optimizer& optimizer,
+                                   RunContext& context) {
+  return optimizer.run(*evaluator_, context);
+}
+
+RunReport IncrementalDesigner::run(const std::string& strategyName,
+                                   RunContext& context,
+                                   const MappingSolution* warmStart) {
   const std::unique_ptr<Optimizer> optimizer =
       StrategyRegistry::builtin().create(strategyName, options_);
-  return run(*optimizer, context);
+  return optimizer->run(*evaluator_, context, warmStart);
 }
 
-DesignResult IncrementalDesigner::run(const Optimizer& optimizer,
-                                      RunContext& context) {
-  return toDesignResult(optimizer.run(*evaluator_, context));
-}
-
-DesignResult IncrementalDesigner::run(const std::string& strategyName,
-                                      RunContext& context,
-                                      const MappingSolution* warmStart) {
-  const std::unique_ptr<Optimizer> optimizer =
-      StrategyRegistry::builtin().create(strategyName, options_);
-  return run(*optimizer, context, warmStart);
-}
-
-DesignResult IncrementalDesigner::run(const Optimizer& optimizer,
-                                      RunContext& context,
-                                      const MappingSolution* warmStart) {
-  return toDesignResult(optimizer.run(*evaluator_, context, warmStart));
-}
-
-DesignResult IncrementalDesigner::run(Strategy strategy) {
-  return run(std::string(toString(strategy)));
+RunReport IncrementalDesigner::run(const Optimizer& optimizer,
+                                   RunContext& context,
+                                   const MappingSolution* warmStart) {
+  return optimizer.run(*evaluator_, context, warmStart);
 }
 
 }  // namespace ides

@@ -10,10 +10,7 @@
 // Strategies resolve through the pluggable optimizer API (core/optimizer.h):
 // run("SA") looks the name up in StrategyRegistry::builtin() and executes
 // the optimizer with this designer's options and a shared RunContext (one
-// EvalContextPool lease across successive runs). The Strategy enum overload
-// is a deprecated shim kept for source compatibility — it forwards to the
-// name-based path and produces bit-identical results; new code should use
-// the registry names (see README "Optimizer API").
+// evaluation scratch across successive runs).
 #pragma once
 
 #include <memory>
@@ -30,44 +27,10 @@ namespace ides {
 
 class SystemModel;
 
-/// Deprecated shim: the closed strategy set predating the registry. Kept
-/// so existing callers (and the multi-increment simulation) compile
-/// unchanged; internally every value maps onto its registry name.
-enum class Strategy {
-  AdHoc,               ///< AH: stop at the first valid solution (IM)
-  MappingHeuristic,    ///< MH: the paper's iterative improvement
-  SimulatedAnnealing,  ///< SA: near-optimal reference
-  ParallelAnnealing,   ///< PSA: best-of-K multi-start SA on a thread pool
-};
-
-/// Registry name of a legacy enum value ("AH", "MH", "SA", "PSA").
-const char* toString(Strategy s);
-
-struct DesignResult {
-  /// Registry name of the strategy that produced this result.
-  std::string strategyName = "AH";
-  /// Deprecated shim: enum value when the strategy is one of the four
-  /// built-ins (left at AdHoc for custom registry strategies —
-  /// `strategyName` is authoritative).
-  Strategy strategy = Strategy::AdHoc;
-  bool feasible = false;
-  MappingSolution mapping;
-  /// Schedule of the current application only (frozen part excluded).
-  Schedule schedule;
-  DesignMetrics metrics;
-  /// Objective C of the final solution.
-  double objective = 0.0;
-  /// Wall-clock strategy runtime in seconds (includes IM).
-  double seconds = 0.0;
-  std::size_t evaluations = 0;
-  /// True when a StopToken ended the run before its configured budget.
-  bool stopped = false;
-};
-
 /// Not thread-safe: the designer's runs share one RunContext (and its
-/// EvalContextPool lease), so concurrent run() calls on one instance race
-/// on the pooled evaluation scratch. Run strategies sequentially — results
-/// are identical either way — or give each thread its own designer; for
+/// EvalContext), so concurrent run() calls on one instance race on the
+/// shared evaluation scratch. Run strategies sequentially — results are
+/// identical either way — or give each thread its own designer; for
 /// shared-evaluator concurrency use Optimizer::run directly with one
 /// RunContext per thread (the evaluator itself is const-safe).
 class IncrementalDesigner {
@@ -80,23 +43,21 @@ class IncrementalDesigner {
 
   /// Run a registered strategy by name from a fresh IM start; throws
   /// std::invalid_argument for an unknown name (listing the valid set).
-  DesignResult run(const std::string& strategyName);
+  RunReport run(const std::string& strategyName);
   /// Same, with caller-provided cross-cutting services (stop token,
-  /// progress sink, pool lease).
-  DesignResult run(const std::string& strategyName, RunContext& context);
+  /// progress sink, evaluation scratch).
+  RunReport run(const std::string& strategyName, RunContext& context);
   /// Run a caller-constructed optimizer (e.g. one with bespoke typed
   /// options that differ from this designer's DesignerOptions).
-  DesignResult run(const Optimizer& optimizer, RunContext& context);
+  RunReport run(const Optimizer& optimizer, RunContext& context);
   /// Warm-started runs (lifecycle replay): improvement starts from
   /// `warmStart` when it is non-null and still evaluates feasibly; an
   /// infeasible or null seed falls back to the fresh-IM path, so the same
   /// call site serves both policies. See Optimizer::run's warm overload.
-  DesignResult run(const std::string& strategyName, RunContext& context,
-                   const MappingSolution* warmStart);
-  DesignResult run(const Optimizer& optimizer, RunContext& context,
-                   const MappingSolution* warmStart);
-  /// Deprecated shim: enum-based dispatch, forwards to run(toString(s)).
-  DesignResult run(Strategy strategy);
+  RunReport run(const std::string& strategyName, RunContext& context,
+                const MappingSolution* warmStart);
+  RunReport run(const Optimizer& optimizer, RunContext& context,
+                const MappingSolution* warmStart);
 
   [[nodiscard]] const SystemModel& system() const { return *sys_; }
   [[nodiscard]] const DesignerOptions& options() const { return options_; }
@@ -110,7 +71,7 @@ class IncrementalDesigner {
   [[nodiscard]] const FrozenBase& frozenBase() const { return frozen_; }
 
   /// Platform state with a result committed; input for future-fit checks.
-  [[nodiscard]] PlatformState stateWith(const DesignResult& result) const {
+  [[nodiscard]] PlatformState stateWith(const RunReport& result) const {
     return evaluator_->stateWith(result.mapping);
   }
 
@@ -119,8 +80,8 @@ class IncrementalDesigner {
   DesignerOptions options_;
   FrozenBase frozen_;
   std::unique_ptr<SolutionEvaluator> evaluator_;
-  /// Shared services across this designer's runs: one EvalContextPool
-  /// lease serves the whole AH/MH/SA comparison on this instance.
+  /// Shared services across this designer's runs: one EvalContext serves
+  /// the whole AH/MH/SA comparison on this instance.
   RunContext context_;
 };
 

@@ -215,7 +215,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
 
   // One journaled scratch state for the whole run; the refresh after an
   // applied move re-reads the cached state instead of re-scheduling. A
-  // caller-provided context (the RunContext pool lease) is reused verbatim.
+  // caller-provided context (the RunContext's) is reused verbatim.
   EvalContext* ctx = scratch;
   std::unique_ptr<EvalContext> owned;
   if (ctx == nullptr && options.incrementalEval) {

@@ -18,7 +18,8 @@
 //     + w2m*max(0, bneed - C2m)/bneed*100
 // The penalty terms are normalized to percent of the need so all four terms
 // share a scale; the paper gives the un-normalized form and leaves weights
-// unspecified (see DESIGN.md).
+// unspecified. We use w1P = w1m = 1 and w2P = w2m = 2 (MetricWeights'
+// defaults); bench_ablation_weights re-runs MH across other ratios.
 #pragma once
 
 #include <cstdint>

@@ -11,11 +11,13 @@
 // is the lifetime of the platform under that design policy.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/future_profile.h"
-#include "core/incremental_designer.h"
+#include "core/mapping_heuristic.h"
 #include "core/metrics.h"
+#include "core/simulated_annealing.h"
 #include "sched/platform_state.h"
 #include "util/ids.h"
 #include "util/stop_token.h"
@@ -46,7 +48,8 @@ struct MultiIncrementResult {
 };
 
 struct MultiIncrementOptions {
-  Strategy strategy = Strategy::MappingHeuristic;
+  /// StrategyRegistry::builtin() name of the per-increment optimizer.
+  std::string strategy = "MH";
   MetricWeights weights;
   MhOptions mh;
   SaOptions sa;
@@ -64,7 +67,10 @@ struct MultiIncrementOptions {
 /// Implement the applications in `increments` (any kind; they are treated
 /// as successive current applications) on top of the frozen
 /// AppKind::Existing base of `sys`, one version at a time, re-optimizing
-/// each increment with the chosen strategy before freezing it.
+/// each increment with the chosen strategy before freezing it. The
+/// optimizer is warm-started from the increment's Initial Mapping. Throws
+/// std::invalid_argument for an unknown strategy name (listing the
+/// registered ones) or invalid options.
 MultiIncrementResult runIncrementSequence(
     const SystemModel& sys, const FutureProfile& profile,
     const std::vector<ApplicationId>& increments,

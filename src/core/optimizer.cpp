@@ -1,6 +1,5 @@
 #include "core/optimizer.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -63,15 +62,11 @@ void validateOptions(const DesignerOptions& options) {
   validateOptions(psa);
 }
 
-EvalContextPool& RunContext::leasePool(const SolutionEvaluator& evaluator,
-                                       std::size_t size) {
-  if (pool_ == nullptr || poolEvaluator_ != &evaluator ||
-      pool_->size() < size) {
-    pool_ = std::make_unique<EvalContextPool>(evaluator, std::max<std::size_t>(
-                                                             size, 1));
-    poolEvaluator_ = &evaluator;
+EvalContext& RunContext::evalContext(const SolutionEvaluator& evaluator) {
+  if (evalContext_ == nullptr || &evalContext_->evaluator() != &evaluator) {
+    evalContext_ = std::make_unique<EvalContext>(evaluator);
   }
-  return *pool_;
+  return *evalContext_;
 }
 
 RunReport Optimizer::run(const SolutionEvaluator& evaluator,
@@ -104,9 +99,9 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
     report.evaluations += improve(evaluator, solution, context, report);
   }
 
-  // Final full evaluation through the leased context (bit-identical to the
+  // Final full evaluation through the shared context (bit-identical to the
   // stateless pass; re-uses whatever checkpoints the improvement left).
-  EvalContext& final = context.leasePool(evaluator, 1)[0];
+  EvalContext& final = context.evalContext(evaluator);
   ScheduleOutcome outcome;
   const EvalResult eval = final.evaluate(solution, &outcome, nullptr);
   ++report.evaluations;
@@ -136,7 +131,7 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
   // Validate the seed before committing to it: warm starts can be stale
   // (the platform or the application set changed since the placements were
   // committed), and improve() requires a feasible entry solution.
-  EvalContext& probe = context.leasePool(evaluator, 1)[0];
+  EvalContext& probe = context.evalContext(evaluator);
   const EvalResult seed = probe.evaluate(*warmStart);
   if (!seed.feasible) {
     RunReport cold = run(evaluator, context);
@@ -158,7 +153,7 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
     report.evaluations += improve(evaluator, solution, context, report);
   }
 
-  EvalContext& final = context.leasePool(evaluator, 1)[0];
+  EvalContext& final = context.evalContext(evaluator);
   ScheduleOutcome outcome;
   const EvalResult eval = final.evaluate(solution, &outcome, nullptr);
   ++report.evaluations;
@@ -189,7 +184,7 @@ std::size_t MappingHeuristicOptimizer::improve(
   MhOptions options = options_;
   if (options.stop == nullptr) options.stop = context.stop;
   EvalContext* scratch = options.incrementalEval
-                             ? &context.leasePool(evaluator, 1)[0]
+                             ? &context.evalContext(evaluator)
                              : nullptr;
   MhResult mh = runMappingHeuristic(evaluator, solution, options, scratch);
   solution = std::move(mh.solution);
@@ -208,12 +203,8 @@ std::size_t SimulatedAnnealingOptimizer::improve(
     RunContext& context, RunReport& report) const {
   SaOptions options = options_;
   if (options.stop == nullptr) options.stop = context.stop;
-  // The speculative engine owns its worker contexts; only the sequential
-  // chain borrows the leased scratch.
   EvalContext* scratch =
-      options.incrementalEval && options.speculation.workers <= 1
-          ? &context.leasePool(evaluator, 1)[0]
-          : nullptr;
+      options.incrementalEval ? &context.evalContext(evaluator) : nullptr;
   SaResult sa = runSimulatedAnnealing(evaluator, solution, options, scratch);
   solution = std::move(sa.solution);
   report.stopped = sa.stopped;
@@ -257,7 +248,7 @@ std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
   TabuOptions options = options_;
   if (options.stop == nullptr) options.stop = context.stop;
   EvalContext* scratch = options.incrementalEval
-                             ? &context.leasePool(evaluator, 1)[0]
+                             ? &context.evalContext(evaluator)
                              : nullptr;
   TabuResult tabu = runTabuSearch(evaluator, solution, options, scratch);
   solution = std::move(tabu.solution);

@@ -11,18 +11,17 @@
 // subclass plus one registry entry — no switch statements to extend.
 //
 // RunContext carries the run's cross-cutting services:
-//   * an EvalContextPool lease — per-thread delta-aware evaluation scratch,
-//     shared across successive runs on the same evaluator (the AH/MH/SA
-//     comparison on one instance re-uses one pool instead of re-copying the
-//     baseline per strategy);
+//   * one delta-aware EvalContext, built on first use and shared across
+//     successive runs on the same evaluator (the AH/MH/SA comparison on one
+//     instance re-uses it instead of re-copying the baseline per strategy);
 //   * a cooperative StopToken (deadline + cancellation) threaded into the
 //     strategy inner loops, so a fired token yields a well-formed partial
 //     result with RunReport::stopped set;
 //   * a ProgressSink notified at the run's phase boundaries.
 //
 // Determinism: an optimizer's RunReport is a pure function of (evaluator,
-// typed options); the context services never perturb results — pool
-// contexts are verified-never-trusted, and an unfired stop token leaves
+// typed options); the context services never perturb results — the shared
+// context is verified-never-trusted, and an unfired stop token leaves
 // trajectories bit-identical (asserted by the optimizer test suite against
 // direct runSimulatedAnnealing / runParallelAnnealing calls).
 #pragma once
@@ -78,8 +77,8 @@ struct ProgressEvent {
 using ProgressSink = std::function<void(const ProgressEvent&)>;
 
 /// Cross-cutting services of one or more optimizer runs. Reusable: running
-/// several strategies on the same evaluator through one context shares the
-/// leased evaluation pool.
+/// several strategies on the same evaluator through one context shares its
+/// evaluation scratch.
 class RunContext {
  public:
   RunContext() = default;
@@ -104,19 +103,15 @@ class RunContext {
     if (progress) progress(event);
   }
 
-  /// Lease of a per-run EvalContextPool bound to `evaluator`, created on
-  /// first use and reused by later calls with the same evaluator (grown if
-  /// a later caller asks for more contexts). Asking for a different
-  /// evaluator drops the old pool — a lease never outlives its evaluator
-  /// as long as the context is not reused across evaluator lifetimes
-  /// (the batch runner builds one RunContext per instance for exactly this
-  /// reason).
-  EvalContextPool& leasePool(const SolutionEvaluator& evaluator,
-                             std::size_t size);
+  /// The evaluation scratch bound to `evaluator`, built on first use and
+  /// reused by later calls with the same evaluator. Asking for a different
+  /// evaluator rebuilds it. Evaluators are told apart by address, so a
+  /// context must not outlive the evaluator it last served (the batch
+  /// runner builds one RunContext per instance for exactly this reason).
+  EvalContext& evalContext(const SolutionEvaluator& evaluator);
 
  private:
-  std::unique_ptr<EvalContextPool> pool_;
-  const SolutionEvaluator* poolEvaluator_ = nullptr;
+  std::unique_ptr<EvalContext> evalContext_;
 };
 
 /// What every strategy reports: the paper's comparison row for one run.
@@ -211,8 +206,7 @@ class MappingHeuristicOptimizer final : public Optimizer {
   MhOptions options_;
 };
 
-/// SA — the near-optimal simulated-annealing reference (speculative
-/// parallel evaluation included, per options.speculation).
+/// SA — the near-optimal simulated-annealing reference.
 class SimulatedAnnealingOptimizer final : public Optimizer {
  public:
   explicit SimulatedAnnealingOptimizer(SaOptions options = {});
@@ -228,8 +222,7 @@ class SimulatedAnnealingOptimizer final : public Optimizer {
   SaOptions options_;
 };
 
-/// PSA — best-of-K multi-start SA on a thread pool, composing SA's
-/// speculative workers unchanged (two-level parallelism).
+/// PSA — best-of-K multi-start SA, one chain per thread.
 class ParallelAnnealingOptimizer final : public Optimizer {
  public:
   explicit ParallelAnnealingOptimizer(ParallelSaOptions options = {});

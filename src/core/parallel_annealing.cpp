@@ -46,7 +46,6 @@ void validateOptions(const ParallelSaOptions& options) {
   check("restarts", options.restarts, 1);
   check("threads", options.threads, 0);  // 0 = hardware concurrency
   check("perChainIterations", options.perChainIterations, 0);
-  check("speculativeWorkers", options.speculativeWorkers, 0);
   validateOptions(options.base);
 }
 
@@ -77,18 +76,6 @@ ParallelSaResult runParallelAnnealing(const SolutionEvaluator& evaluator,
   if (threadBudget == 0) threadBudget = 1;
   const unsigned workers =
       std::min<unsigned>(threadBudget, static_cast<unsigned>(chains));
-
-  // Two-level split of the thread budget: `workers` chain threads, and the
-  // leftover capacity as per-chain speculative evaluation workers (worker 0
-  // of each chain is the chain thread itself, so a chain with S workers
-  // costs S threads total). Speculation does not change any chain's
-  // trajectory, so this split affects wall-clock only.
-  if (options.speculativeWorkers > 0) {
-    chainOptions.speculation.workers = options.speculativeWorkers;
-  } else {
-    chainOptions.speculation.workers =
-        static_cast<int>(std::max(1u, threadBudget / std::max(1u, workers)));
-  }
 
   // Fail fast (and on the caller's thread) on an infeasible start instead
   // of throwing inside every worker.

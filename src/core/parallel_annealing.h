@@ -13,13 +13,6 @@
 // chains never exchange state, so the result is bit-identical for any
 // thread count. Chain 0 reuses base.seed verbatim, which makes the K-chain
 // result provably no worse than a single chain run with the same options.
-//
-// Two-level parallelism: when the chain count cannot saturate the thread
-// budget, the leftover threads become per-chain speculative evaluation
-// workers (core/speculative_eval.h) — chains across the pool, speculative
-// move evaluations within each chain. Speculation is bit-identical to the
-// sequential chain for any worker count, so the PSA result stays
-// independent of the thread budget and of how it is split.
 #pragma once
 
 #include <cstdint>
@@ -33,19 +26,13 @@ struct ParallelSaOptions {
   /// Per-chain SA configuration; `base.seed` seeds the whole ensemble and
   /// `base.iterations` is the per-chain default.
   SaOptions base;
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Cap on concurrently running chains (one thread each); 0 means
+  /// std::thread::hardware_concurrency().
   int threads = 0;
   /// Number of independent chains (K). Must be >= 1.
   int restarts = 4;
   /// Iterations per chain; 0 means base.iterations.
   int perChainIterations = 0;
-  /// Speculative evaluation workers per chain
-  /// (SpeculationOptions::workers for every chain). 0 = auto: divide the
-  /// thread budget evenly over the chains that run concurrently, so e.g. 2
-  /// chains on 8 threads each get 4 workers. 1 = speculation off. Results
-  /// are identical for every value — this splits the thread budget, not
-  /// the search.
-  int speculativeWorkers = 0;
 };
 
 /// Range-checks every knob (restarts >= 1, non-negative thread/iteration

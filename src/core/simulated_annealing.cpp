@@ -1,11 +1,11 @@
 #include "core/simulated_annealing.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "core/speculative_eval.h"
 #include "model/system_model.h"
 #include "util/log.h"
 
@@ -16,6 +16,36 @@ namespace {
 [[noreturn]] void invalidOption(const char* field, const std::string& detail) {
   throw std::invalid_argument(std::string("SaOptions: ") + field + " " +
                               detail);
+}
+
+/// Geometric cooling from t0 down to options.finalTemp over the chain.
+struct SaSchedule {
+  double t0 = 1.0;
+  double alpha = 1.0;
+};
+
+SaSchedule saSchedule(const SaOptions& options, double initialCost) {
+  SaSchedule s;
+  // Proportional to the starting cost, floored at finalTemp (never a
+  // heating schedule). An absolute floor of 1.0 here used to make the
+  // start infinitely hot for sub-unit objectives — small instances and
+  // lifecycle steps — where it erased any good starting solution before
+  // the chain cooled into the exploitation regime.
+  s.t0 = std::max(options.finalTemp,
+                  options.initialTempFactor * initialCost);
+  s.alpha = options.iterations > 1
+                ? std::pow(options.finalTemp / s.t0,
+                           1.0 / static_cast<double>(options.iterations - 1))
+                : 1.0;
+  return s;
+}
+
+/// The Metropolis criterion. The acceptance stream is consumed only for
+/// uphill moves (delta > 0), so the draw pattern is a pure function of the
+/// decision sequence.
+bool metropolisAccept(double delta, double temp, Rng& acceptanceRng) {
+  return delta <= 0.0 ||
+         acceptanceRng.uniform01() < std::exp(-delta / std::max(temp, 1e-12));
 }
 
 }  // namespace
@@ -42,25 +72,6 @@ void validateOptions(const SaOptions& options) {
     invalidOption("move mix",
                   "probRemap and probProcessHint must each lie in [0, 1] "
                   "and sum to at most 1");
-  }
-  const SpeculationOptions& spec = options.speculation;
-  if (spec.workers < 0) {
-    invalidOption("speculation.workers",
-                  "must be >= 0 (got " + std::to_string(spec.workers) + ")");
-  }
-  if (spec.maxDepth < 0) {
-    invalidOption("speculation.maxDepth",
-                  "must be >= 0 (got " + std::to_string(spec.maxDepth) + ")");
-  }
-  if (!(spec.acceptanceThreshold >= 0.0) ||
-      !std::isfinite(spec.acceptanceThreshold)) {
-    invalidOption("speculation.acceptanceThreshold",
-                  "must be finite and >= 0 (0 disables speculation, values "
-                  "above 1 force it)");
-  }
-  if (spec.window < 1) {
-    invalidOption("speculation.window",
-                  "must be >= 1 (got " + std::to_string(spec.window) + ")");
   }
 }
 
@@ -174,13 +185,6 @@ void ZeroDeltaFilter::captureAccepted(const EvalContext& ctx,
   valid_ = true;
 }
 
-void ZeroDeltaFilter::capture(const std::vector<Time>& arrivals,
-                              const std::vector<Time>& ends) {
-  arrivals_ = arrivals;
-  ends_ = ends;
-  valid_ = true;
-}
-
 bool ZeroDeltaFilter::zeroDelta(const SaMove& move,
                                 const MappingSolution& current) const {
   if (!valid_) return false;
@@ -222,32 +226,11 @@ bool ZeroDeltaFilter::zeroDelta(const SaMove& move,
   return false;
 }
 
-SaSchedule saSchedule(const SaOptions& options, double initialCost) {
-  SaSchedule s;
-  // Proportional to the starting cost, floored at finalTemp (never a
-  // heating schedule). An absolute floor of 1.0 here used to make the
-  // start infinitely hot for sub-unit objectives — small instances and
-  // lifecycle steps — where it erased any good starting solution before
-  // the chain cooled into the exploitation regime.
-  s.t0 = std::max(options.finalTemp,
-                  options.initialTempFactor * initialCost);
-  s.alpha = options.iterations > 1
-                ? std::pow(options.finalTemp / s.t0,
-                           1.0 / static_cast<double>(options.iterations - 1))
-                : 1.0;
-  return s;
-}
-
 SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
                                const MappingSolution& initial,
                                const SaOptions& options,
                                EvalContext* scratch) {
   validateOptions(options);
-  if (options.speculation.workers > 1) {
-    // The speculative engine replays the exact same two-stream chain with
-    // batches of moves pre-evaluated on parallel workers.
-    return runSpeculativeAnnealing(evaluator, initial, options);
-  }
   if (scratch != nullptr && &scratch->evaluator() != &evaluator) {
     throw std::invalid_argument(
         "runSimulatedAnnealing: scratch context bound to another evaluator");
@@ -259,7 +242,7 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
 
   // One journaled scratch state for the whole chain: each move re-schedules
   // only the graphs it touches (full pass when incrementalEval is off). A
-  // caller-provided context (the RunContext pool lease) is reused verbatim —
+  // caller-provided context (the RunContext's) is reused verbatim —
   // its checkpoints are verified, never trusted, so results are identical.
   EvalContext* ctx = scratch;
   std::unique_ptr<EvalContext> owned;
@@ -288,9 +271,6 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
   const bool useFilter = options.incrementalEval;
   ZeroDeltaFilter filter(evaluator);
   if (useFilter) filter.captureAccepted(*ctx, result.eval);
-  if (options.recordCostTrace) {
-    result.costTrace.reserve(static_cast<std::size_t>(options.iterations));
-  }
 
   MappingSolution current = initial;
   double currentCost = result.eval.cost;
@@ -336,7 +316,6 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
         }
       }
     }
-    if (options.recordCostTrace) result.costTrace.push_back(currentCost);
   }
   return result;
 }

@@ -9,22 +9,18 @@
 // states are admitted at high penalty cost so the walk can cross narrow
 // infeasible ridges, but only feasible states can become the incumbent.
 //
-// RNG stream-splitting contract: one chain consumes TWO deterministic
-// streams derived from the seed (rngStreamSeed) —
+// RNG streams: one chain consumes TWO deterministic streams derived from
+// the seed (rngStreamSeed) —
 //   * kSaProposalStream  — every draw that shapes a candidate move,
 //   * kSaAcceptanceStream — the Metropolis draw for uphill moves.
-// Splitting them makes the proposal sequence independent of the accept /
-// reject outcomes, which is what lets the speculative engine
-// (core/speculative_eval.h) pre-generate a batch of K moves, evaluate them
-// on parallel workers, and replay the acceptance decisions sequentially —
-// bit-identical to this sequential chain by construction. The chain
-// trajectory is a function of (options, evaluator, initial) only; the
-// speculation knobs (workers, depth, threshold) change the wall-clock, not
-// the result.
+// Keeping them apart makes the proposal sequence independent of the accept
+// / reject outcomes, so a move's draws never depend on how the evaluator
+// scored earlier moves, and tabu search (core/tabu_search.h) shares the
+// same proposer and proposal stream without an acceptance stream of its
+// own. The chain trajectory is a function of (options, evaluator, initial)
+// only.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -39,29 +35,6 @@ namespace ides {
 /// Stream ids of one SA chain (see rngStreamSeed).
 inline constexpr std::uint64_t kSaProposalStream = 0;
 inline constexpr std::uint64_t kSaAcceptanceStream = 1;
-
-/// Speculative execution inside one chain (core/speculative_eval.h). All
-/// knobs are performance-only: the chain result is bit-identical for every
-/// configuration, including workers = 1.
-struct SpeculationOptions {
-  /// Parallel evaluation workers for one chain; worker 0 is the calling
-  /// thread, so `workers` is the total thread count. <= 1 disables
-  /// speculation and runs the plain sequential chain.
-  int workers = 1;
-  /// Upper bound on the adaptive speculation depth (pre-generated moves per
-  /// batch). 0 = 4 * workers.
-  int maxDepth = 0;
-  /// Speculate only while the windowed acceptance rate is below this; above
-  /// it most batches would commit their first move and the pre-evaluated
-  /// tail would be thrown away. Note the floor of the observed rate is the
-  /// zero-delta rate (hint moves that leave the schedule untouched are
-  /// always accepted — and still invalidate later speculations), ~0.4 on
-  /// loaded instances; a batch of K still replays sum (1-p)^i > 1
-  /// iterations per parallel round below ~0.55, hence the default.
-  double acceptanceThreshold = 0.55;
-  /// Number of recent Metropolis decisions in the acceptance-rate window.
-  int window = 48;
-};
 
 struct SaOptions {
   std::uint64_t seed = 1;
@@ -81,17 +54,9 @@ struct SaOptions {
   /// is a pure performance switch kept for comparison and testing.
   bool incrementalEval = true;
 
-  /// Record the cost of the walk's current state after every iteration into
-  /// SaResult::costTrace (the determinism suite diffs the trace of the
-  /// speculative engine against the sequential chain).
-  bool recordCostTrace = false;
-
-  /// Speculative parallel move evaluation inside this chain.
-  SpeculationOptions speculation;
-
-  /// Cooperative cancellation: polled once per iteration (per batch in the
-  /// speculative engine). When it fires the chain stops, keeps its best
-  /// incumbent so far and sets SaResult::stopped. Null = never stops early.
+  /// Cooperative cancellation: polled once per iteration. When it fires
+  /// the chain stops, keeps its best incumbent so far and sets
+  /// SaResult::stopped. Null = never stops early.
   /// The token does not perturb the trajectory while unfired, so two runs
   /// that both finish their budget are bit-identical with or without it.
   const StopToken* stop = nullptr;
@@ -99,44 +64,33 @@ struct SaOptions {
 
 /// Range-checks every knob; throws std::invalid_argument with a message
 /// naming the offending field (e.g. negative iterations, probabilities
-/// outside [0, 1] or summing past 1). Called on entry of both SA engines.
+/// outside [0, 1] or summing past 1). Called on entry of
+/// runSimulatedAnnealing.
 void validateOptions(const SaOptions& options);
 
 struct SaResult {
   MappingSolution solution;  ///< best feasible solution seen
   EvalResult eval;
   /// Evaluations consumed by the chain (initial + one per non-None
-  /// iteration) — identical for the sequential and speculative engines.
-  /// Proposals the zero-delta filter replayed without computing are still
-  /// counted here (their result is known exactly), so the counter stays
-  /// invariant across incrementalEval on/off and across engines.
+  /// iteration). Proposals the zero-delta filter replayed without computing
+  /// are still counted here (their result is known exactly), so the counter
+  /// stays invariant across incrementalEval on/off.
   std::size_t evaluations = 0;
   std::size_t accepted = 0;
   /// Move-generation telemetry: proposals consumed by the chain (None
-  /// moves included; speculative proposals rewound after an acceptance are
-  /// not — they are re-drawn by the next batch) and the subset the
-  /// gap-fingerprint filter proved schedule-identical and replayed without
-  /// any evaluation (always 0 when incrementalEval is off). Both are pure
-  /// functions of the trajectory: identical across engines, and
-  /// zeroDeltaSkips is 0 when incrementalEval is off while proposals is
-  /// invariant to it.
+  /// moves included) and the subset the gap-fingerprint filter proved
+  /// schedule-identical and replayed without any evaluation (always 0 when
+  /// incrementalEval is off). Both are pure functions of the trajectory;
+  /// proposals is invariant to incrementalEval.
   std::size_t proposals = 0;
   std::size_t zeroDeltaSkips = 0;
-  /// Speculative telemetry: evaluations computed ahead of an acceptance and
-  /// then thrown away, and the number of speculation batches dispatched.
-  /// Always 0 for the sequential chain.
-  std::size_t discardedEvaluations = 0;
-  std::size_t speculativeBatches = 0;
   /// True when SaOptions::stop ended the chain before its iteration budget.
   bool stopped = false;
-  /// Current-state cost after every iteration (only when
-  /// SaOptions::recordCostTrace).
-  std::vector<double> costTrace;
 };
 
-/// One candidate design transformation, pre-drawn from the proposal stream
-/// and applied to a solution later (the speculative engine materializes a
-/// whole batch before any evaluation runs).
+/// One candidate design transformation, drawn from the proposal stream and
+/// applied to a solution later (tabu search scores a batch of them before
+/// committing one).
 struct SaMove {
   enum class Kind : std::uint8_t {
     None,         ///< skipped iteration (message move with no messages)
@@ -152,10 +106,8 @@ struct SaMove {
   MoveHint evalHint;
 };
 
-/// The move kernel shared by the sequential chain and the speculative
-/// engine: given the walk's current solution and the proposal stream,
-/// draws the next candidate move. Both engines go through this one
-/// implementation, so their proposal sequences agree draw for draw.
+/// The move kernel shared by SA and tabu search: given the walk's current
+/// solution and the proposal stream, draws the next candidate move.
 class SaMoveProposer {
  public:
   /// Collects the movable processes / messages of the evaluator's current
@@ -184,8 +136,8 @@ class SaMoveProposer {
 };
 
 /// Gap-fingerprint zero-delta filter — detects hint moves that provably
-/// reproduce the current schedule and lets both engines replay them
-/// without any evaluation (performance only; the trajectory is untouched).
+/// reproduce the current schedule and lets the chain replay them without
+/// any evaluation (performance only; the trajectory is untouched).
 ///
 /// The fingerprint is a snapshot of two hint-independent quantities of the
 /// chain's current schedule, indexed by SolutionEvaluator::jobIndexOf:
@@ -219,12 +171,6 @@ class ZeroDeltaFilter {
   /// snapshots when the result is feasible, invalidates otherwise.
   void captureAccepted(const EvalContext& ctx, const EvalResult& result);
 
-  /// Re-arm from a pre-copied fingerprint (the speculative pool snapshots
-  /// each feasible item on its worker, since a worker's context may have
-  /// moved past the accepted item by replay time).
-  void capture(const std::vector<Time>& arrivals,
-               const std::vector<Time>& ends);
-
   /// True when applying `move` to `current` provably leaves the schedule
   /// bit-identical. Requires nothing when invalid (returns false).
   [[nodiscard]] bool zeroDelta(const SaMove& move,
@@ -240,33 +186,12 @@ class ZeroDeltaFilter {
   std::vector<std::int32_t> instances_;  ///< by ProcessId::index()
 };
 
-/// Geometric cooling schedule of one chain, shared verbatim by both
-/// engines so their temperature sequences are bit-identical.
-struct SaSchedule {
-  double t0 = 1.0;
-  double alpha = 1.0;
-};
-[[nodiscard]] SaSchedule saSchedule(const SaOptions& options,
-                                    double initialCost);
-
-/// The Metropolis criterion, shared verbatim by both engines. The
-/// acceptance stream is consumed only for uphill moves (delta > 0), so the
-/// draw pattern is a pure function of the decision sequence.
-[[nodiscard]] inline bool metropolisAccept(double delta, double temp,
-                                           Rng& acceptanceRng) {
-  return delta <= 0.0 ||
-         acceptanceRng.uniform01() < std::exp(-delta / std::max(temp, 1e-12));
-}
-
-/// Requires `initial` to be feasible; throws otherwise. Routes through the
-/// speculative engine when options.speculation.workers > 1 (bit-identical
-/// result, K moves evaluated in parallel).
+/// Requires `initial` to be feasible; throws otherwise.
 ///
 /// `scratch`, when given, is a caller-owned EvalContext bound to the same
-/// evaluator (e.g. one leased from a RunContext pool) that the sequential
-/// chain uses instead of constructing its own — a pure reuse optimization;
-/// results are bit-identical either way. Ignored by the speculative engine
-/// (its workers own a pool of contexts already).
+/// evaluator (e.g. the one a RunContext keeps) that the chain uses instead
+/// of constructing its own — a pure reuse optimization; results are
+/// bit-identical either way.
 SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
                                const MappingSolution& initial,
                                const SaOptions& options = {},

@@ -25,17 +25,14 @@ DesignerOptions designJobOptions(const DesignJobSpec& spec) {
   if (spec.saIterations > 0) opts.sa.iterations = spec.saIterations;
   opts.psa.threads = spec.threads;
   opts.psa.restarts = spec.restarts;
-  if (spec.specWorkers > 0) opts.sa.speculation.workers = spec.specWorkers;
-  if (spec.specDepth > 0) opts.sa.speculation.maxDepth = spec.specDepth;
-  opts.psa.speculativeWorkers = spec.specWorkers;
   return opts;
 }
 
 std::string designJobFingerprint(const DesignJobSpec& spec) {
   // Two independently-seeded FNV lanes over the same field stream, the
-  // sweep-store convention (see instanceFingerprint). threads, specWorkers
-  // and specDepth are deliberately absent: they reshape the search's
-  // parallelism, never its result.
+  // sweep-store convention (see instanceFingerprint). threads is
+  // deliberately absent: it reshapes the search's parallelism, never its
+  // result.
   Fnv1aHasher lanes[2] = {Fnv1aHasher(Fnv1aHasher::kDefaultBasis),
                           Fnv1aHasher(0x9e3779b97f4a7c15ULL)};
   for (Fnv1aHasher& h : lanes) {
@@ -77,9 +74,9 @@ DesignJobResult runDesignJob(const DesignJobSpec& spec,
 }
 
 std::string designResultJson(const DesignJobResult& r, bool timing) {
-  const DesignResult& d = r.result;
+  const RunReport& d = r.result;
   std::string out = "{\n";
-  out += "  \"strategy\": " + jsonQuote(d.strategyName) + ",\n";
+  out += "  \"strategy\": " + jsonQuote(d.strategy) + ",\n";
   out += std::string("  \"feasible\": ") + (d.feasible ? "true" : "false") +
          ",\n";
   out += "  \"objective\": " + num(d.objective) + ",\n";

@@ -183,7 +183,7 @@ JobSpec parseJobSpec(std::string_view body) {
     rejectUnknownKeys(root,
                       {"type", "deadline_seconds", "nodes", "existing",
                        "current", "seed", "strategy", "sa_iters", "restarts",
-                       "threads", "spec_workers", "spec_depth"});
+                       "threads"});
     DesignJobSpec& d = spec.design;
     d.nodes = static_cast<std::size_t>(optionalInt(root, "nodes", 10));
     d.existing =
@@ -194,8 +194,6 @@ JobSpec parseJobSpec(std::string_view body) {
     d.saIterations = static_cast<int>(optionalInt(root, "sa_iters", 0));
     d.restarts = static_cast<int>(optionalInt(root, "restarts", 4));
     d.threads = static_cast<int>(optionalInt(root, "threads", 0));
-    d.specWorkers = static_cast<int>(optionalInt(root, "spec_workers", 0));
-    d.specDepth = static_cast<int>(optionalInt(root, "spec_depth", 0));
     if (d.nodes < 2) throw std::invalid_argument("nodes must be >= 2");
     if (!StrategyRegistry::builtin().contains(d.strategy)) {
       std::string known;

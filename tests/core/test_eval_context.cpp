@@ -195,42 +195,40 @@ TEST_F(EvalContextTest, ZeroDeltaHintMoveIsServedByJournalReplay) {
 }
 
 TEST_F(EvalContextTest, PoolResyncAfterPartialRewindIsBitIdentical) {
-  // The speculative engine's substrate: several contexts share one
-  // evaluator, each evaluates a rotating subset of trials against its own
-  // (stale) reference, and re-aligns lazily — or via resync() — after a
-  // move commits. Every context must stay bit-identical to the stateless
-  // evaluator through randomized accept/reject sequences, including
-  // resyncs that land mid-graph (partial rewind).
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{3},
-                                    std::size_t{4}}) {
-    EvalContextPool pool(*evaluator_, workers);
-    ASSERT_EQ(pool.size(), workers);
-    pool.resync(initial_, MoveHint{});  // invalid hint degrades to full pass
+  // Two contexts share one evaluator and take turns evaluating one move
+  // sequence, so the idle one's checkpoint reference always lags the walk.
+  // A lagging context must re-align bit-identically — lazily on its next
+  // evaluation, or eagerly when it re-reads the committed solution under
+  // the committing move's hint (a mid-graph partial rewind) — through
+  // randomized accept/reject sequences.
+  EvalContext contexts[2] = {EvalContext(*evaluator_),
+                             EvalContext(*evaluator_)};
+  for (EvalContext& ctx : contexts) {
+    expectBitIdentical(ctx.evaluate(initial_), evaluator_->evaluate(initial_));
+  }
 
-    Rng rng(4100 + workers);
-    MappingSolution current = initial_;
-    for (int step = 0; step < 120; ++step) {
-      MappingSolution trial = current;
-      const MoveHint hint = randomMove(trial, rng);
-      // Rotate the evaluating context like the speculative pool does; the
-      // others fall behind and catch up on their next evaluation.
-      EvalContext& ctx = pool[static_cast<std::size_t>(step) % workers];
-      const EvalResult inc = ctx.evaluate(trial, hint);
-      expectBitIdentical(inc, evaluator_->evaluate(trial));
-      if (rng.chance(0.5)) {
-        current = std::move(trial);
-        // Sometimes re-align the whole pool eagerly (the hint describes
-        // the committed move, so unchanged-prefix contexts rewind only the
-        // affected suffix); otherwise leave the catch-up lazy.
-        if (rng.chance(0.3)) pool.resync(current, hint);
+  Rng rng(4102);
+  MappingSolution current = initial_;
+  for (int step = 0; step < 240; ++step) {
+    MappingSolution trial = current;
+    const MoveHint hint = randomMove(trial, rng);
+    EvalContext& ctx = contexts[step % 2];
+    expectBitIdentical(ctx.evaluate(trial, hint), evaluator_->evaluate(trial));
+    if (rng.chance(0.5)) {
+      current = std::move(trial);
+      // Sometimes re-align the idle context eagerly; otherwise leave the
+      // catch-up to its next turn.
+      if (rng.chance(0.3)) {
+        expectBitIdentical(contexts[(step + 1) % 2].evaluate(current, hint),
+                           evaluator_->evaluate(current));
       }
     }
-    // After the walk every context — however stale — must converge on the
-    // committed solution with an exact result.
-    const EvalResult reference = evaluator_->evaluate(current);
-    for (std::size_t w = 0; w < workers; ++w) {
-      expectBitIdentical(pool[w].evaluate(current), reference);
-    }
+  }
+  // After the walk both contexts — however stale — converge on the
+  // committed solution with an exact result.
+  const EvalResult reference = evaluator_->evaluate(current);
+  for (EvalContext& ctx : contexts) {
+    expectBitIdentical(ctx.evaluate(current), reference);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/initial_mapping.h"
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
@@ -88,9 +93,9 @@ TEST_F(MultiIncrementTest, OccupancyGrowsMonotonically) {
 
 TEST_F(MultiIncrementTest, FutureAwarePolicyAbsorbsAtLeastAsMany) {
   MultiIncrementOptions ahOpts;
-  ahOpts.strategy = Strategy::AdHoc;
+  ahOpts.strategy = "AH";
   MultiIncrementOptions mhOpts;
-  mhOpts.strategy = Strategy::MappingHeuristic;
+  mhOpts.strategy = "MH";
   const MultiIncrementResult ah = runIncrementSequence(
       suite_->system, suite_->profile, increments_, ahOpts);
   const MultiIncrementResult mh = runIncrementSequence(
@@ -120,6 +125,22 @@ TEST_F(MultiIncrementTest, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
     EXPECT_EQ(a.steps[i].accepted, b.steps[i].accepted);
     EXPECT_DOUBLE_EQ(a.steps[i].objective, b.steps[i].objective);
+  }
+}
+
+TEST_F(MultiIncrementTest, UnknownStrategyThrowsListingRegisteredNames) {
+  MultiIncrementOptions opts;
+  opts.strategy = "no-such-strategy";
+  try {
+    (void)runIncrementSequence(suite_->system, suite_->profile, increments_,
+                               opts);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("no-such-strategy"), std::string::npos) << message;
+    for (const std::string& name : StrategyRegistry::builtin().names()) {
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+    }
   }
 }
 

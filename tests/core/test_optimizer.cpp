@@ -87,7 +87,7 @@ TEST_F(OptimizerTest, SaThroughInterfaceIsBitIdenticalToDirectCall) {
   const SaResult direct = runSimulatedAnnealing(
       designer_->evaluator(), initialSolution(), sa);
 
-  const DesignResult viaName = designer_->run("SA");
+  const RunReport viaName = designer_->run("SA");
   EXPECT_TRUE(viaName.feasible);
   EXPECT_EQ(viaName.mapping, direct.solution);
   EXPECT_EQ(viaName.objective, direct.eval.cost);
@@ -100,31 +100,18 @@ TEST_F(OptimizerTest, PsaThroughInterfaceIsBitIdenticalToDirectCall) {
   const ParallelSaResult direct = runParallelAnnealing(
       designer_->evaluator(), initialSolution(), psa);
 
-  const DesignResult viaName = designer_->run("PSA");
+  const RunReport viaName = designer_->run("PSA");
   EXPECT_TRUE(viaName.feasible);
   EXPECT_EQ(viaName.mapping, direct.solution);
   EXPECT_EQ(viaName.objective, direct.eval.cost);
 }
 
-TEST_F(OptimizerTest, EnumShimMatchesNameBasedRuns) {
-  for (const Strategy s : {Strategy::AdHoc, Strategy::MappingHeuristic,
-                           Strategy::SimulatedAnnealing}) {
-    const DesignResult byEnum = designer_->run(s);
-    const DesignResult byName = designer_->run(std::string(toString(s)));
-    EXPECT_EQ(byEnum.mapping, byName.mapping) << toString(s);
-    EXPECT_EQ(byEnum.objective, byName.objective) << toString(s);
-    EXPECT_EQ(byEnum.evaluations, byName.evaluations) << toString(s);
-    EXPECT_EQ(byEnum.strategy, s);
-    EXPECT_EQ(byEnum.strategyName, toString(s));
-  }
-}
-
 TEST_F(OptimizerTest, RepeatedRunsThroughSharedContextAreRepeatable) {
-  // The designer's RunContext keeps one pool lease across runs; reusing
+  // The designer's RunContext keeps one EvalContext across runs; reusing
   // warm checkpoints must not change any result.
-  const DesignResult first = designer_->run("MH");
-  const DesignResult ah = designer_->run("AH");
-  const DesignResult second = designer_->run("MH");
+  const RunReport first = designer_->run("MH");
+  const RunReport ah = designer_->run("AH");
+  const RunReport second = designer_->run("MH");
   EXPECT_EQ(first.mapping, second.mapping);
   EXPECT_EQ(first.objective, second.objective);
   EXPECT_TRUE(ah.feasible);
@@ -135,8 +122,8 @@ TEST_F(OptimizerTest, PreFiredStopTokenDegradesSaToTheInitialMapping) {
   stop.requestStop();
   RunContext context;
   context.stop = &stop;
-  const DesignResult stopped = designer_->run("SA", context);
-  const DesignResult ah = designer_->run("AH");
+  const RunReport stopped = designer_->run("SA", context);
+  const RunReport ah = designer_->run("AH");
   EXPECT_TRUE(stopped.stopped);
   EXPECT_TRUE(stopped.feasible);
   EXPECT_EQ(stopped.mapping, ah.mapping);
@@ -149,7 +136,7 @@ TEST_F(OptimizerTest, PassedDeadlineStopsEveryStrategyGracefully) {
     stop.setTimeout(-1.0);  // already expired
     RunContext context;
     context.stop = &stop;
-    const DesignResult r = designer_->run(name, context);
+    const RunReport r = designer_->run(name, context);
     EXPECT_TRUE(r.stopped) << name;
     EXPECT_TRUE(r.feasible) << name;
   }
@@ -159,8 +146,8 @@ TEST_F(OptimizerTest, UnfiredStopTokenLeavesSaBitIdentical) {
   StopToken stop;  // never fires, no deadline
   RunContext context;
   context.stop = &stop;
-  const DesignResult withToken = designer_->run("SA", context);
-  const DesignResult without = designer_->run("SA");
+  const RunReport withToken = designer_->run("SA", context);
+  const RunReport without = designer_->run("SA");
   EXPECT_EQ(withToken.mapping, without.mapping);
   EXPECT_EQ(withToken.objective, without.objective);
   EXPECT_FALSE(withToken.stopped);
@@ -172,7 +159,7 @@ TEST_F(OptimizerTest, ProgressSinkSeesPhaseBoundaries) {
   context.progress = [&](const ProgressEvent& event) {
     phases.emplace_back(event.phase);
   };
-  const DesignResult r = designer_->run("MH", context);
+  const RunReport r = designer_->run("MH", context);
   EXPECT_TRUE(r.feasible);
   const std::vector<std::string> expected = {"initial-mapping", "improve",
                                              "final"};
@@ -205,24 +192,6 @@ TEST(OptimizerValidation, SaTemperatureKnobsAreRangeChecked) {
   opts = SaOptions{};
   opts.initialTempFactor = -0.5;
   EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-}
-
-TEST(OptimizerValidation, SpeculationKnobsAreRangeChecked) {
-  SaOptions opts;
-  opts.speculation.workers = -1;
-  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-  opts = SaOptions{};
-  opts.speculation.window = 0;
-  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-  opts = SaOptions{};
-  opts.speculation.acceptanceThreshold = -0.1;
-  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-  // The determinism suite's extremes stay legal: 0 disables, 2 forces.
-  opts = SaOptions{};
-  opts.speculation.acceptanceThreshold = 0.0;
-  EXPECT_NO_THROW(validateOptions(opts));
-  opts.speculation.acceptanceThreshold = 2.0;
-  EXPECT_NO_THROW(validateOptions(opts));
 }
 
 TEST(OptimizerValidation, NegativeMhBudgetsThrow) {

@@ -135,6 +135,20 @@ TEST(RouteRequest, BadSpecAnswers400WithReason) {
   EXPECT_EQ(jobs.finishedCount() + jobs.queuedCount(), 0u);
 }
 
+TEST(RouteRequest, RemovedSpeculationKeysAnswer400NamingTheKey) {
+  JobManager jobs(JobManagerOptions{});
+  for (const std::string key : {"spec_workers", "spec_depth"}) {
+    const HttpResponse response = routeRequest(
+        jobs, makeRequest("POST", "/jobs",
+                          "{\"type\": \"design\", \"" + key + "\": 2}"));
+    EXPECT_EQ(response.status, 400) << key;
+    EXPECT_NE(response.body.find("unknown field"), std::string::npos)
+        << response.body;
+    EXPECT_NE(response.body.find(key), std::string::npos) << response.body;
+  }
+  EXPECT_EQ(jobs.finishedCount() + jobs.queuedCount(), 0u);
+}
+
 TEST(RouteRequest, ResultBeforeDoneAnswers409) {
   JobManagerOptions options;
   options.workers = 1;

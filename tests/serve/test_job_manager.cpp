@@ -384,12 +384,10 @@ TEST(DesignJobFingerprint, IsStableAndIgnoresResultNeutralKnobs) {
   EXPECT_EQ(fp.size(), 32u);
   EXPECT_EQ(designJobFingerprint(spec), fp);
 
-  // threads / specWorkers / specDepth change how fast a job runs, never
-  // what it returns — identical fingerprint, shared cache slot.
+  // threads changes how fast a job runs, never what it returns —
+  // identical fingerprint, shared cache slot.
   DesignJobSpec tuned = spec;
   tuned.threads = 8;
-  tuned.specWorkers = 4;
-  tuned.specDepth = 3;
   EXPECT_EQ(designJobFingerprint(tuned), fp);
 
   DesignJobSpec other = spec;

@@ -212,14 +212,10 @@ TEST(InstanceFingerprintTest, StableAcrossCallsAndSensitiveToInputs) {
   EXPECT_NE(instanceFingerprint("other-suite", base), fp);
 
   // …result-neutral knobs do not (their bit-identity is asserted by the
-  // optimizer/speculation suites, so records are shareable across them).
+  // optimizer and annealing suites, so records are shareable across them).
   BatchInstance neutral = base;
-  neutral.options.sa.speculation.workers = 4;
-  neutral.options.sa.speculation.maxDepth = 16;
   neutral.options.sa.incrementalEval = false;
-  neutral.options.sa.recordCostTrace = true;
   neutral.options.psa.threads = 8;
-  neutral.options.psa.speculativeWorkers = 2;
   EXPECT_EQ(instanceFingerprint("unit-store", neutral), fp);
 }
 
