@@ -28,8 +28,13 @@ FrozenBase freezeExistingApplications(const SystemModel& sys) {
 }
 
 ScheduleOutcome initialMapping(const SystemModel& sys, PlatformState& state) {
+  return initialMapping(sys, state, sys.graphsOfKind(AppKind::Current));
+}
+
+ScheduleOutcome initialMapping(const SystemModel& sys, PlatformState& state,
+                               const std::vector<GraphId>& graphs) {
   ScheduleRequest req;
-  req.graphs = sys.graphsOfKind(AppKind::Current);
+  req.graphs = graphs;
   req.chooseNodes = true;
   return scheduleGraphs(sys, req, state);
 }

@@ -11,6 +11,8 @@
 // optimizes schedule length only and ignores the future (slide 14).
 #pragma once
 
+#include <vector>
+
 #include "sched/list_scheduler.h"
 #include "sched/mapping.h"
 #include "sched/platform_state.h"
@@ -40,5 +42,11 @@ FrozenBase freezeExistingApplications(const SystemModel& sys);
 /// IM for the current application: HCP over `AppKind::Current` graphs on a
 /// copy of the baseline. Returns the outcome; `state` is advanced.
 ScheduleOutcome initialMapping(const SystemModel& sys, PlatformState& state);
+
+/// IM over an explicit graph set, committed in the given order (an
+/// evaluator built on another movable set, e.g. one increment of a
+/// sequence, needs IM over that set).
+ScheduleOutcome initialMapping(const SystemModel& sys, PlatformState& state,
+                               const std::vector<GraphId>& graphs);
 
 }  // namespace ides

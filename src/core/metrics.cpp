@@ -62,44 +62,83 @@ void capacityCountsInto(std::vector<std::int64_t>& capacities,
   }
 }
 
-/// Best-fit-decreasing over run-length-encoded items and capacity counts.
-/// Equivalent to placing the items one by one into the fullest container
-/// that still takes them: after placing v into the smallest capacity
-/// c >= v, the remainder c - v is strictly smaller than every other
-/// candidate, so the same container keeps absorbing items of the run until
-/// it drops below v. The C1 histograms have ~4 distinct values over ~10^3
-/// items, which makes this effectively linear where a per-item multiset
-/// was the hottest spot of the whole evaluation pipeline.
+/// First (value, count) entry whose value is >= v.
+ValueCounts::iterator firstAtLeast(ValueCounts& counts, std::int64_t v) {
+  return std::lower_bound(
+      counts.begin(), counts.end(), v,
+      [](const auto& entry, std::int64_t x) { return entry.first < x; });
+}
+
+/// Best-fit-decreasing over run-length-encoded items and capacity counts,
+/// one ascending sweep per demand run. Equal to placing the items one at a
+/// time into the smallest capacity c >= v that still takes them:
+///  - A container filled with c / v items keeps c mod v < v, which this
+///    run never picks again. So the run uses up the capacities >= v in
+///    ascending order, and an equal-capacity block at a time.
+///  - Only the container that takes the run's last items can keep a
+///    remainder >= v, and the run ends there.
+///  - Every other remainder is < v. Merged back once per run, they leave
+///    the multiset exactly as per-item placement would, so each later
+///    (smaller) run sees the same containers.
+/// The C1 histograms have ~4 distinct values over ~10^3 items, so this is
+/// a few linear passes over the capacity multiset per evaluation. Consumes
+/// `counts`: the last run's remainders are never merged back.
 std::int64_t bestFitUnpackedRuns(const DemandRuns& runs,
                                  CapacityCounts& counts) {
+  static thread_local CapacityCounts rests;
+  static thread_local CapacityCounts merged;
   std::int64_t unpacked = 0;
-  for (const auto& [item, runLength] : runs) {
+  for (const auto& run : runs) {
+    const auto [item, runLength] = run;
     if (item <= 0) continue;
+    const auto first = firstAtLeast(counts, item);
+    rests.clear();
     std::int64_t remaining = runLength;
-    while (remaining > 0) {
-      const auto it = std::lower_bound(
-          counts.begin(), counts.end(), item,
-          [](const auto& entry, std::int64_t v) { return entry.first < v; });
-      if (it == counts.end()) {
-        unpacked += item * remaining;
-        break;
+    std::int64_t lastRest = 0;  // the run's last container, if it keeps >= v
+    auto last = first;
+    for (; last != counts.end() && remaining > 0; ++last) {
+      const std::int64_t capacity = last->first;
+      const std::int64_t perContainer = capacity / item;
+      const std::int64_t full = last->second * perContainer <= remaining
+                                    ? last->second
+                                    : remaining / perContainer;
+      const std::int64_t rest = capacity - perContainer * item;
+      remaining -= full * perContainer;
+      last->second -= full;
+      if (full > 0 && rest > 0) rests.emplace_back(rest, full);
+      if (remaining > 0 && last->second > 0) {
+        // Fewer than perContainer items left: one more container ends it.
+        lastRest = capacity - remaining * item;
+        last->second -= 1;
+        remaining = 0;
       }
-      const std::int64_t capacity = it->first;
-      const std::int64_t absorbed = std::min(remaining, capacity / item);
-      const std::int64_t rest = capacity - absorbed * item;
-      if (--(it->second) == 0) counts.erase(it);
-      if (rest > 0) {
-        const auto pos = std::lower_bound(
-            counts.begin(), counts.end(), rest,
-            [](const auto& entry, std::int64_t v) { return entry.first < v; });
-        if (pos != counts.end() && pos->first == rest) {
-          pos->second += 1;
-        } else {
-          counts.insert(pos, {rest, 1});
-        }
-      }
-      remaining -= absorbed;
     }
+    unpacked += item * remaining;
+    // Nothing fitted, or no run is left to see the containers.
+    if (first == last || &run == &runs.back()) continue;
+
+    // Rebuild the multiset: the prefix below v merged with the sorted
+    // rests (all < v), then lastRest (between v and the capacity it came
+    // from), then the swept entries still holding containers, then the
+    // untouched suffix.
+    std::sort(rests.begin(), rests.end());
+    merged.clear();
+    auto r = rests.begin();
+    for (auto it = counts.begin(); it != first || r != rests.end();) {
+      const bool takeRest =
+          r != rests.end() && (it == first || r->first <= it->first);
+      const auto entry = takeRest ? *r++ : *it++;
+      if (!merged.empty() && merged.back().first == entry.first) {
+        merged.back().second += entry.second;
+      } else {
+        merged.push_back(entry);
+      }
+    }
+    if (lastRest > 0) merged.emplace_back(lastRest, 1);
+    for (auto it = first; it != counts.end(); ++it) {
+      if (it->second > 0) merged.push_back(*it);
+    }
+    counts.swap(merged);
   }
   return unpacked;
 }
@@ -233,9 +272,7 @@ namespace {
 /// Insert one value into the ordered (value, count) multiset.
 void countsAdd(ValueCounts& counts, std::int64_t value) {
   if (value <= 0) return;
-  const auto it = std::lower_bound(
-      counts.begin(), counts.end(), value,
-      [](const auto& entry, std::int64_t v) { return entry.first < v; });
+  const auto it = firstAtLeast(counts, value);
   if (it != counts.end() && it->first == value) {
     it->second += 1;
   } else {
@@ -247,9 +284,7 @@ void countsAdd(ValueCounts& counts, std::int64_t value) {
 /// value is always present.
 void countsRemove(ValueCounts& counts, std::int64_t value) {
   if (value <= 0) return;
-  const auto it = std::lower_bound(
-      counts.begin(), counts.end(), value,
-      [](const auto& entry, std::int64_t v) { return entry.first < v; });
+  const auto it = firstAtLeast(counts, value);
   if (--(it->second) == 0) counts.erase(it);
 }
 
@@ -264,15 +299,33 @@ void IncrementalMetrics::refreshNode(const PlatformState& state,
   state.nodeBusy(id).complementWithinInto({0, horizon_}, scratchSet_);
   IntervalSet& free = nodeFree_[n];
   if (scratchSet_ == free) return;
-  for (const Interval& iv : free.intervals()) {
-    countsRemove(c1pCounts_, iv.length());
-    c1pTotal_ -= iv.length();
+  // One merge over the old and new free sets, both sorted by start: an
+  // interval in both (same start, same end) stays in the multiset, every
+  // other old one leaves it and every other new one enters it. A move
+  // reshapes a few gaps of a node, so this edits a handful of entries
+  // instead of re-inserting the node's every gap.
+  const std::vector<Interval>& before = free.intervals();
+  const std::vector<Interval>& after = scratchSet_.intervals();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    const Time oldStart = i < before.size() ? before[i].start : kTimeMax;
+    const Time newStart = j < after.size() ? after[j].start : kTimeMax;
+    if (oldStart == newStart && before[i].end == after[j].end) {
+      ++i;
+      ++j;
+      continue;
+    }
+    if (oldStart <= newStart) {
+      countsRemove(c1pCounts_, before[i].length());
+      c1pTotal_ -= before[i++].length();
+    }
+    if (newStart <= oldStart) {
+      countsAdd(c1pCounts_, after[j].length());
+      c1pTotal_ += after[j++].length();
+    }
   }
   std::swap(free, scratchSet_);
-  for (const Interval& iv : free.intervals()) {
-    countsAdd(c1pCounts_, iv.length());
-    c1pTotal_ += iv.length();
-  }
   if (windows_ > 0) {
     Time rowMin = kTimeMax;
     for (std::int64_t w = 0; w < windows_; ++w) {

@@ -78,10 +78,12 @@ using ValueCounts = std::vector<std::pair<std::int64_t, std::int64_t>>;
 /// per-node per-window free ticks with row minima, and per-window bus free
 /// ticks — and re-derives only the nodes / slot occurrences named dirty (by
 /// the platform journal, see PlatformState::journal) since the last
-/// evaluation. Every maintained quantity is integral and order-independent
-/// (a multiset or a sum), so metrics() is bit-identical to
-/// computeMetrics(extractSlack(state), profile) by construction; the
-/// property suites assert exactly that equality.
+/// evaluation. A dirty node edits the C1 multiset only for the free
+/// intervals its old and new free sets do not share. Every maintained
+/// quantity is integral and order-independent (a multiset or a sum), so
+/// metrics() is bit-identical to computeMetrics(extractSlack(state),
+/// profile) by construction; the property suites assert exactly that
+/// equality.
 class IncrementalMetrics {
  public:
   [[nodiscard]] bool valid() const { return valid_; }

@@ -51,10 +51,12 @@ MultiIncrementResult runIncrementSequence(
                                         options.weights, app.graphs);
       RunContext context;
       context.stop = options.stop;
-      // The warm run would fall back to a cold IM of the model's current
-      // application — not this increment — if the seed did not evaluate
-      // feasibly, so such an increment is rejected here instead (the warm
-      // run's own seed check then re-reads the cached result).
+      // An increment whose IM seed does not evaluate feasibly is rejected
+      // here rather than handed to the warm run's cold fallback: the
+      // evaluator schedules the increment's graphs heaviest-first while IM
+      // and the commit below use application order, and the increment
+      // sweeps' results are defined with this rejection (the warm run's
+      // own seed check then re-reads the cached result).
       if (context.evalContext(evaluator).evaluate(im.mapping).feasible) {
         const RunReport report =
             optimizer->run(evaluator, context, &im.mapping);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/initial_mapping.h"
 #include "model/system_model.h"
@@ -79,10 +80,20 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
   const TraceSpan span("optimizer:" + report.strategy, "core");
 
   // Every strategy starts from the same Initial Mapping on the frozen
-  // baseline — exactly the legacy IncrementalDesigner::run flow, so
-  // reports through this interface are bit-identical to the old enum path.
+  // baseline, over the graphs the evaluator moves. The evaluator keeps
+  // them heaviest-first; IM commits them in application order, which for
+  // the default evaluator is the AppKind::Current list itself.
+  const SystemModel& sys = evaluator.system();
+  std::vector<GraphId> graphs;
+  for (const Application& app : sys.applications()) {
+    for (const GraphId g : app.graphs) {
+      if (evaluator.graphIndexOf(g) < evaluator.currentGraphs().size()) {
+        graphs.push_back(g);
+      }
+    }
+  }
   PlatformState state = evaluator.baseline();
-  const ScheduleOutcome im = initialMapping(evaluator.system(), state);
+  const ScheduleOutcome im = initialMapping(sys, state, graphs);
   report.evaluations = 1;
   context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
   if (!im.feasible) {

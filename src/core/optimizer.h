@@ -148,7 +148,8 @@ class Optimizer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Full strategy run: Initial Mapping on the evaluator's baseline,
+  /// Full strategy run: Initial Mapping of the evaluator's graphs
+  /// (currentGraphs(), in application order) on its baseline,
   /// improvement, final evaluation. Never returns an infeasible mapping as
   /// feasible; a fired stop token yields the best solution found so far.
   [[nodiscard]] RunReport run(const SolutionEvaluator& evaluator,

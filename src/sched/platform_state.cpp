@@ -114,17 +114,21 @@ void PlatformState::rollbackTo(Mark m) {
   if (m > journal_.size()) {
     throw std::logic_error("rollbackTo: mark ahead of the journal");
   }
-  // The undone occupies are pairwise disjoint (each saw the range free), so
-  // order does not matter: bus ticks subtract directly, and each touched
-  // node gets one batched subtraction pass instead of a per-interval
-  // rewrite. Transmissions pack from the slot front, so freeing the ticks
-  // restores exactly the position the next findBusSlot would hand out.
-  static thread_local std::vector<std::pair<std::uint32_t, Interval>> undo;
-  undo.clear();
+  // Bus ticks subtract directly. Transmissions pack from the slot front,
+  // so freeing the ticks restores exactly the position the next
+  // findBusSlot would hand out. Node intervals go into one bucket per
+  // node, in journal order; a node's undone occupies are pairwise disjoint
+  // (each saw its range free), so their starts are distinct and sorting a
+  // bucket by start gives the unique order subtractSorted needs. A bucket
+  // holds one node's share of the undone suffix, which is far cheaper to
+  // sort than every undone record at once.
+  static thread_local std::vector<std::vector<Interval>> buckets;
+  if (buckets.size() < nodeBusy_.size()) buckets.resize(nodeBusy_.size());
+  for (std::vector<Interval>& bucket : buckets) bucket.clear();
   for (std::size_t i = m; i < journal_.size(); ++i) {
     const JournalEntry& e = journal_[i];
     if (e.kind == JournalEntry::Kind::Node) {
-      undo.emplace_back(e.index, e.iv);
+      buckets[e.index].push_back(e.iv);
     } else {
       slotUsed_[e.index][static_cast<std::size_t>(e.round)] -= e.txTicks;
       // The freed ticks reopen this round: lower the cursor so findBusSlot
@@ -133,19 +137,14 @@ void PlatformState::rollbackTo(Mark m) {
     }
   }
   journal_.resize(m);
-  std::sort(undo.begin(), undo.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second.start < b.second.start;
-            });
-  static thread_local std::vector<Interval> run;
-  for (std::size_t i = 0; i < undo.size();) {
-    const std::uint32_t node = undo[i].first;
-    run.clear();
-    for (; i < undo.size() && undo[i].first == node; ++i) {
-      run.push_back(undo[i].second);
-    }
-    nodeBusy_[node].subtractSorted(run.data(), run.data() + run.size());
+  for (std::size_t n = 0; n < nodeBusy_.size(); ++n) {
+    std::vector<Interval>& bucket = buckets[n];
+    if (bucket.empty()) continue;
+    std::sort(bucket.begin(), bucket.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.start < b.start;
+              });
+    nodeBusy_[n].subtractSorted(bucket.data(), bucket.data() + bucket.size());
   }
 }
 

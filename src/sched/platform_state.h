@@ -103,8 +103,11 @@ class PlatformState {
   [[nodiscard]] Mark mark() const { return journal_.size(); }
 
   /// Undo every occupy recorded after `m`, restoring the exact occupancy
-  /// the state had when mark() returned `m`. Throws std::logic_error if
-  /// `m` is ahead of the journal or journaling is off.
+  /// the state had when mark() returned `m`. Relies on every record having
+  /// been applied to the occupancy it undoes: one node's undone intervals
+  /// are then pairwise disjoint, so they are bucketed per node and each
+  /// bucket, sorted by start, is subtracted in one pass. Throws
+  /// std::logic_error if `m` is ahead of the journal or journaling is off.
   void rollbackTo(Mark m);
 
   struct JournalEntry {

@@ -3,6 +3,12 @@
 // 75% when fragmented.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "core/metrics.h"
 
 namespace ides {
@@ -55,6 +61,99 @@ TEST(BestFit, ReusesResidualCapacity) {
 TEST(BestFit, EmptyInputs) {
   EXPECT_EQ(bestFitUnpacked({}, {10, 20}), 0);
   EXPECT_EQ(bestFitUnpacked({5, 5}, {}), 10);
+}
+
+/// Reference best fit: items one at a time, each into the smallest
+/// container that still takes it.
+std::int64_t referenceBestFit(const std::vector<std::int64_t>& itemsDesc,
+                              const std::vector<std::int64_t>& containers) {
+  std::multiset<std::int64_t> free;
+  for (const std::int64_t c : containers) {
+    if (c > 0) free.insert(c);
+  }
+  std::int64_t unpacked = 0;
+  for (const std::int64_t item : itemsDesc) {
+    const auto it = free.lower_bound(item);
+    if (it == free.end()) {
+      unpacked += item;
+      continue;
+    }
+    const std::int64_t rest = *it - item;
+    free.erase(it);
+    if (rest > 0) free.insert(rest);
+  }
+  return unpacked;
+}
+
+TEST(BestFit, RunEndingInsideAContainerKeepsItsRemainder) {
+  // The 10s fill 45 down to 25, which the 7s then use after the 8.
+  const std::vector<std::int64_t> items = {10, 10, 7, 7, 7};
+  EXPECT_EQ(referenceBestFit(items, {45, 8}), 0);
+  EXPECT_EQ(bestFitUnpacked(items, {45, 8}), 0);
+}
+
+TEST(BestFit, EqualCapacitiesAreUsedUpOneAfterAnother) {
+  // Each 25 takes two 12s and keeps 1; the seventh 12 is left over, and
+  // three of the four 1s take the three remainders.
+  std::vector<std::int64_t> items(7, 12);
+  items.insert(items.end(), 4, 1);
+  EXPECT_EQ(referenceBestFit(items, {25, 25, 25}), 12 + 1);
+  EXPECT_EQ(bestFitUnpacked(items, {25, 25, 25}), 12 + 1);
+}
+
+TEST(BestFit, NonPositiveCapacitiesHoldNothing) {
+  EXPECT_EQ(bestFitUnpacked({5, 3}, {0, -4, 3}), 5);
+  EXPECT_EQ(bestFitUnpacked({2}, {0, -1}), 2);
+}
+
+TEST(BestFit, MatchesPerItemPlacementOnRandomCases) {
+  std::mt19937_64 rng(20011);
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  for (int c = 0; c < 2000; ++c) {
+    // Few distinct values on both sides, so runs are long and equal
+    // capacities repeat; some capacities are <= 0, some cases are empty,
+    // and the demand often exceeds the total capacity.
+    std::vector<std::int64_t> items;
+    const std::int64_t values = pick(0, 4);
+    for (std::int64_t v = 0; v < values; ++v) {
+      const auto count = static_cast<std::size_t>(pick(1, 12));
+      items.insert(items.end(), count, pick(1, 40));
+    }
+    std::sort(items.begin(), items.end(), std::greater<>());
+    std::vector<std::int64_t> pool;
+    for (std::int64_t k = pick(1, 6); k > 0; --k) {
+      pool.push_back(pick(-5, 120));
+    }
+    const auto last = static_cast<std::int64_t>(pool.size()) - 1;
+    std::vector<std::int64_t> containers;
+    for (std::int64_t k = pick(0, 16); k > 0; --k) {
+      containers.push_back(pool[static_cast<std::size_t>(pick(0, last))]);
+    }
+    ASSERT_EQ(bestFitUnpacked(items, containers),
+              referenceBestFit(items, containers))
+        << "case " << c;
+  }
+}
+
+TEST(BestFit, MatchesPerItemPlacementOnThePaperDemand) {
+  const DiscreteDistribution wcet(
+      {{20, 0.2}, {50, 0.4}, {100, 0.3}, {150, 0.1}});
+  std::mt19937_64 rng(7);
+  for (int c = 0; c < 50; ++c) {
+    std::vector<std::int64_t> containers;
+    std::int64_t total = 0;
+    for (int k = 0; k < 120; ++k) {
+      containers.push_back(
+          std::uniform_int_distribution<std::int64_t>(1, 400)(rng));
+      total += containers.back();
+    }
+    const std::vector<std::int64_t> items = largestFutureDemand(wcet, total);
+    ASSERT_EQ(bestFitUnpacked(items, containers),
+              referenceBestFit(items, containers))
+        << "case " << c;
+  }
 }
 
 TEST(LargestFutureDemand, FillsUpToTotalSlack) {

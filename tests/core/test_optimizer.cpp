@@ -1,6 +1,6 @@
 // The pluggable optimizer API: registry resolution, bit-identity of the
-// interface against direct strategy calls, the legacy enum shim, stop
-// tokens, progress events, and options validation.
+// interface against direct strategy calls, the graphs a cold start maps,
+// stop tokens, progress events, and options validation.
 #include "core/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -164,6 +164,49 @@ TEST_F(OptimizerTest, ProgressSinkSeesPhaseBoundaries) {
   const std::vector<std::string> expected = {"initial-mapping", "improve",
                                              "final"};
   EXPECT_EQ(phases, expected);
+}
+
+// The cold run, which is also the fallback for a rejected warm seed, maps
+// the graphs the evaluator was built for, not the model's current
+// application.
+TEST(OptimizerColdStart, MapsTheEvaluatorsOwnGraphs) {
+  ides::testing::ScenarioIds ids;
+  const SystemModel sys = ides::testing::makeIncrementalScenario(&ids);
+  const GraphId legacy = sys.application(ids.existingApp).graphs.at(0);
+  FutureProfile profile;
+  profile.tmin = 100;
+  profile.tneed = 30;
+  profile.bneedBytes = 8;
+  profile.wcetDistribution = DiscreteDistribution({{10, 1.0}});
+  profile.messageSizeDistribution = DiscreteDistribution({{4, 1.0}});
+  const PlatformState empty(sys.architecture(), sys.hyperperiod());
+  const SolutionEvaluator evaluator(sys, empty, profile, MetricWeights{},
+                                    {legacy});
+
+  const std::vector<ProcessId>& procs = sys.graph(legacy).processes;
+  MappingSolution seed(sys);
+  seed.setNode(procs[0], NodeId{0});
+  seed.setNode(procs[1], NodeId{1});
+  seed.setStartHint(procs[1], 195);  // forces a deadline miss
+  RunContext probe;
+  ASSERT_FALSE(probe.evalContext(evaluator).evaluate(seed).feasible);
+
+  PlatformState state = empty;
+  const ScheduleOutcome im = initialMapping(sys, state, {legacy});
+  ASSERT_TRUE(im.feasible);
+  for (const std::string name : {"AH", "MH"}) {
+    RunContext context;
+    const std::unique_ptr<Optimizer> optimizer =
+        StrategyRegistry::builtin().create(name);
+    const RunReport report = optimizer->run(evaluator, context, &seed);
+    ASSERT_TRUE(report.feasible) << name;
+    EXPECT_EQ(report.mapping.nodeOf(procs[0]), NodeId{0}) << name;
+    EXPECT_EQ(report.mapping.nodeOf(procs[1]), NodeId{1}) << name;
+    EXPECT_FALSE(report.mapping.nodeOf(ids.diamond.p1).valid()) << name;
+    if (name == "AH") {
+      EXPECT_EQ(report.mapping, im.mapping);
+    }
+  }
 }
 
 // ---- options validation ---------------------------------------------------
