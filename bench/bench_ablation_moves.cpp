@@ -15,6 +15,7 @@
 #include "bench_common.h"
 
 #include "core/initial_mapping.h"
+#include "core/optimizer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -56,15 +57,16 @@ double randomHillClimb(const SolutionEvaluator& eval,
   return bestCost;
 }
 
-/// MH stopped after `evaluationBudget` evaluations.
+/// MH from the Initial Mapping, its search stopped after `evaluationBudget`
+/// evaluations; `evalsUsed` also counts the IM and the final evaluation.
 double mhWithBudget(const SolutionEvaluator& eval,
-                    const MappingSolution& initial,
                     std::size_t evaluationBudget, std::size_t* evalsUsed) {
   MhOptions opts;
   opts.maxEvaluations = evaluationBudget;
-  const MhResult r = runMappingHeuristic(eval, initial, opts);
+  RunContext context;
+  const RunReport r = MappingHeuristicOptimizer(opts).run(eval, context);
   if (evalsUsed != nullptr) *evalsUsed = r.evaluations;
-  return r.eval.cost;
+  return r.objective;
 }
 
 }  // namespace
@@ -94,7 +96,7 @@ int main() {
       const double imCost = eval.evaluate(im.mapping).cost;
 
       std::size_t used = 0;
-      const double mh = mhWithBudget(eval, im.mapping, budget, &used);
+      const double mh = mhWithBudget(eval, budget, &used);
       const double rnd = randomHillClimb(eval, im.mapping, budget,
                                          static_cast<std::uint64_t>(s) + 1);
       cIm.add(imCost);

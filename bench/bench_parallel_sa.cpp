@@ -14,21 +14,11 @@
 // column (same eq_budget ensemble on 1 thread vs P threads) is a pure
 // wall-clock measurement; it needs P >= 4 physical cores to show.
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "bench_common.h"
-#include "core/parallel_annealing.h"
+#include "core/optimizer.h"
 #include "util/stats.h"
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main() {
   using namespace ides;
@@ -57,35 +47,34 @@ int main() {
           buildSuite(paperConfig(size), 3000 + static_cast<std::uint64_t>(s));
       DesignerOptions opts = designerOptions(scale, 1);
       IncrementalDesigner designer(suite.system, suite.profile, opts);
-      const MappingSolution im =
-          designer.run("AH").mapping;  // shared IM start
+      const SolutionEvaluator& evaluator = designer.evaluator();
+      // Every run starts from the same Initial Mapping; its seconds cover
+      // IM + improvement + final evaluation.
+      const auto run = [&](const Optimizer& optimizer) {
+        RunContext context;
+        return optimizer.run(evaluator, context);
+      };
 
-      auto t0 = std::chrono::steady_clock::now();
-      const SaResult one =
-          runSimulatedAnnealing(designer.evaluator(), im, opts.sa);
-      tSingle.add(seconds_since(t0));
-      singleC.add(one.eval.cost);
+      const RunReport one = run(SimulatedAnnealingOptimizer(opts.sa));
+      tSingle.add(one.seconds);
+      singleC.add(one.objective);
 
       ParallelSaOptions par;
-      par.base = opts.sa;
       par.restarts = restarts;
       par.perChainIterations = std::max(1, opts.sa.iterations / restarts);
       par.threads = 1;
-      const ParallelSaResult seq =
-          runParallelAnnealing(designer.evaluator(), im, par);
+      const RunReport seq = run(ParallelAnnealingOptimizer(opts.sa, par));
       tBudget1.add(seq.seconds);
       par.threads = threads;
-      const ParallelSaResult pool =
-          runParallelAnnealing(designer.evaluator(), im, par);
+      const RunReport pool = run(ParallelAnnealingOptimizer(opts.sa, par));
       tBudgetP.add(pool.seconds);
-      budgetC.add(pool.eval.cost);
+      budgetC.add(pool.objective);
 
       par.perChainIterations = 0;  // full N per chain
-      const ParallelSaResult wide =
-          runParallelAnnealing(designer.evaluator(), im, par);
+      const RunReport wide = run(ParallelAnnealingOptimizer(opts.sa, par));
       tTimeP.add(wide.seconds);
-      timeC.add(wide.eval.cost);
-      if (wide.eval.cost <= one.eval.cost + 1e-9) ++wins;
+      timeC.add(wide.objective);
+      if (wide.objective <= one.objective + 1e-9) ++wins;
     }
     const double speedup =
         tBudgetP.mean() > 0.0 ? tBudget1.mean() / tBudgetP.mean() : 0.0;

@@ -28,26 +28,9 @@ RunReport IncrementalDesigner::run(const std::string& strategyName) {
 
 RunReport IncrementalDesigner::run(const std::string& strategyName,
                                    RunContext& context) {
-  return run(strategyName, context, nullptr);
-}
-
-RunReport IncrementalDesigner::run(const Optimizer& optimizer,
-                                   RunContext& context) {
-  return optimizer.run(*evaluator_, context);
-}
-
-RunReport IncrementalDesigner::run(const std::string& strategyName,
-                                   RunContext& context,
-                                   const MappingSolution* warmStart) {
   const std::unique_ptr<Optimizer> optimizer =
       StrategyRegistry::builtin().create(strategyName, options_);
-  return optimizer->run(*evaluator_, context, warmStart);
-}
-
-RunReport IncrementalDesigner::run(const Optimizer& optimizer,
-                                   RunContext& context,
-                                   const MappingSolution* warmStart) {
-  return optimizer.run(*evaluator_, context, warmStart);
+  return optimizer->run(*evaluator_, context);
 }
 
 }  // namespace ides

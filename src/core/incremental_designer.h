@@ -45,19 +45,9 @@ class IncrementalDesigner {
   /// std::invalid_argument for an unknown name (listing the valid set).
   RunReport run(const std::string& strategyName);
   /// Same, with caller-provided cross-cutting services (stop token,
-  /// progress sink, evaluation scratch).
+  /// progress sink, evaluation scratch). Bespoke optimizers and warm starts
+  /// go through Optimizer::run on evaluator() directly.
   RunReport run(const std::string& strategyName, RunContext& context);
-  /// Run a caller-constructed optimizer (e.g. one with bespoke typed
-  /// options that differ from this designer's DesignerOptions).
-  RunReport run(const Optimizer& optimizer, RunContext& context);
-  /// Warm-started runs (lifecycle replay): improvement starts from
-  /// `warmStart` when it is non-null and still evaluates feasibly; an
-  /// infeasible or null seed falls back to the fresh-IM path, so the same
-  /// call site serves both policies. See Optimizer::run's warm overload.
-  RunReport run(const std::string& strategyName, RunContext& context,
-                const MappingSolution* warmStart);
-  RunReport run(const Optimizer& optimizer, RunContext& context,
-                const MappingSolution* warmStart);
 
   [[nodiscard]] const SystemModel& system() const { return *sys_; }
   [[nodiscard]] const DesignerOptions& options() const { return options_; }

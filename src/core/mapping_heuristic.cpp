@@ -1,12 +1,12 @@
 #include "core/mapping_heuristic.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "util/log.h"
 
@@ -200,47 +200,37 @@ void validateOptions(const MhOptions& options) {
   check("busWindows", options.busWindows);
 }
 
-MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
-                             const MappingSolution& initial,
-                             const MhOptions& options,
-                             EvalContext* scratch) {
-  validateOptions(options);
-  if (scratch != nullptr && &scratch->evaluator() != &evaluator) {
-    throw std::invalid_argument(
-        "runMappingHeuristic: scratch context bound to another evaluator");
-  }
+MappingHeuristicOptimizer::MappingHeuristicOptimizer(MhOptions options)
+    : options_(options) {
+  validateOptions(options_);
+}
+
+std::size_t MappingHeuristicOptimizer::improve(
+    const SolutionEvaluator& evaluator, MappingSolution& solution,
+    RunContext& context, RunReport& report) const {
+  const MhOptions& options = options_;
   const SystemModel& sys = evaluator.system();
-  MhResult result;
-  result.solution = initial;
 
   // One journaled scratch state for the whole run; the refresh after an
-  // applied move re-reads the cached state instead of re-scheduling. A
-  // caller-provided context (the RunContext's) is reused verbatim.
-  EvalContext* ctx = scratch;
-  std::unique_ptr<EvalContext> owned;
-  if (ctx == nullptr && options.incrementalEval) {
-    owned = std::make_unique<EvalContext>(evaluator);
-    ctx = owned.get();
-  }
+  // applied move re-reads the cached state instead of re-scheduling.
+  EvalContext& ctx = context.evalContext(evaluator);
   auto evaluateTrial = [&](const MappingSolution& s,
                            const MoveHint& hint) -> EvalResult {
-    return options.incrementalEval ? ctx->evaluate(s, hint)
+    return options.incrementalEval ? ctx.evaluate(s, hint)
                                    : evaluator.evaluate(s);
   };
   auto evaluateWithOutputs = [&](const MappingSolution& s,
                                  ScheduleOutcome* o,
                                  SlackInfo* sl) -> EvalResult {
-    return options.incrementalEval ? ctx->evaluate(s, o, sl)
+    return options.incrementalEval ? ctx.evaluate(s, o, sl)
                                    : evaluator.evaluate(s, o, sl);
   };
 
+  // `solution` is the incumbent throughout; `eval` is its evaluation.
   ScheduleOutcome outcome;
   SlackInfo slack;
-  result.eval = evaluateWithOutputs(result.solution, &outcome, &slack);
-  result.evaluations = 1;
-  if (!result.eval.feasible) {
-    throw std::invalid_argument("runMappingHeuristic: initial not feasible");
-  }
+  EvalResult eval = evaluateWithOutputs(solution, &outcome, &slack);
+  std::size_t evaluations = 1;
 
   // Iterative improvement with first-improvement acceptance: the candidate
   // moves are generated highest-potential-first, and the first one that
@@ -248,8 +238,8 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
   // iterations commit a move after a handful of evaluations, because the
   // potential analysis looked at the right processes first.
   for (int iter = 0; iter < options.maxIterations; ++iter) {
-    if (options.stop != nullptr && options.stop->stopRequested()) {
-      result.stopped = true;
+    if (context.stopRequested()) {
+      report.stopped = true;
       break;
     }
     const std::vector<ProcessId> procs = selectProcessCandidates(
@@ -275,11 +265,11 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
     // Try a move; apply it if improving and report success.
     auto tryMove = [&](const Move& move) {
       if (options.maxEvaluations != 0 &&
-          result.evaluations >= options.maxEvaluations) {
+          evaluations >= options.maxEvaluations) {
         budgetExhausted = true;
         return true;  // stop scanning; nothing was applied
       }
-      MappingSolution trial = result.solution;
+      MappingSolution trial = solution;
       MoveHint hint;
       if (move.kind == Move::Kind::Process) {
         trial.setNode(move.process, move.node);
@@ -292,9 +282,9 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
         hint.message = move.message;
       }
       const EvalResult r = evaluateTrial(trial, hint);
-      ++result.evaluations;
-      if (r.cost < result.eval.cost - kEps) {
-        result.solution = std::move(trial);
+      ++evaluations;
+      if (r.cost < eval.cost - kEps) {
+        solution = std::move(trial);
         applied = true;
         return true;
       }
@@ -313,7 +303,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
         const NodeId n{static_cast<std::int32_t>(idx)};
         if (proc.allowedOn(n)) targets.push_back(n);
       }
-      const NodeId home = result.solution.nodeOf(p);
+      const NodeId home = solution.nodeOf(p);
       if (std::find(targets.begin(), targets.end(), home) == targets.end()) {
         targets.push_back(home);
       }
@@ -324,8 +314,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
         for (Time h : gapHints(slack.nodeFree[n.index()], graph.period,
                                options.gapsPerNode)) {
           h = std::min(h, maxHint);
-          if (n == result.solution.nodeOf(p) &&
-              h == result.solution.startHint(p)) {
+          if (n == solution.nodeOf(p) && h == solution.startHint(p)) {
             continue;
           }
           if (tryMove({Move::Kind::Process, p, n, {}, h})) break;
@@ -354,7 +343,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
           const Time h =
               std::min(chunk.start % graph.period, graph.deadline - 1);
           ++tried;
-          if (h == result.solution.messageHint(m)) continue;
+          if (h == solution.messageHint(m)) continue;
           if (tryMove({Move::Kind::Message, {}, {}, m, h})) break;
         }
       }
@@ -362,13 +351,13 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
 
     if (budgetExhausted || !applied) break;  // minimum or out of budget
 
-    result.eval = evaluateWithOutputs(result.solution, &outcome, &slack);
-    ++result.evaluations;
-    result.iterations = iter + 1;
-    IDES_LOG_AT(LogLevel::Debug)
-        << "MH iter " << iter << ": C=" << result.eval.cost;
+    eval = evaluateWithOutputs(solution, &outcome, &slack);
+    ++evaluations;
+    IDES_LOG_AT(LogLevel::Debug) << "MH iter " << iter << ": C=" << eval.cost;
   }
-  return result;
+  report.objective = eval.cost;
+  context.report({"MH", "improve", evaluations, 0, eval.cost});
+  return evaluations;
 }
 
 }  // namespace ides

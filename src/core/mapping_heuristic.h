@@ -13,14 +13,11 @@
 // worst Tmin window of the most loaded node (they depress C2) are the move
 // candidates; target slacks are the largest free gaps per node and the
 // emptiest bus rounds. The iteration stops at a local minimum of C or after
-// `maxIterations` rounds.
+// `maxIterations` rounds. The search runs as MappingHeuristicOptimizer
+// (core/optimizer.h), which polls RunContext::stop once per round.
 #pragma once
 
 #include <cstddef>
-
-#include "core/evaluator.h"
-#include "sched/mapping.h"
-#include "util/stop_token.h"
 
 namespace ides {
 
@@ -49,33 +46,11 @@ struct MhOptions {
   /// evaluation; results are bit-identical either way (asserted by the
   /// property tests).
   bool incrementalEval = true;
-  /// Cooperative cancellation, polled once per improvement round. When it
-  /// fires MH stops at the current (always valid) incumbent and sets
-  /// MhResult::stopped. Null = run to the local minimum.
-  const StopToken* stop = nullptr;
 };
 
 /// Range-checks every knob; throws std::invalid_argument naming the
-/// offending field (negative iteration/candidate budgets). Called on entry
-/// of runMappingHeuristic.
+/// offending field (negative iteration/candidate budgets). Called by the
+/// MH optimizer's constructor.
 void validateOptions(const MhOptions& options);
-
-struct MhResult {
-  MappingSolution solution;
-  EvalResult eval;
-  std::size_t evaluations = 0;  ///< schedule evaluations performed
-  int iterations = 0;           ///< improvement rounds executed
-  /// True when MhOptions::stop ended the search before a local minimum.
-  bool stopped = false;
-};
-
-/// Requires `initial` to be feasible (as produced by IM); throws otherwise.
-/// `scratch`, when given, is a caller-owned EvalContext bound to the same
-/// evaluator that MH uses instead of constructing its own (pure reuse;
-/// results are bit-identical either way).
-MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
-                             const MappingSolution& initial,
-                             const MhOptions& options = {},
-                             EvalContext* scratch = nullptr);
 
 }  // namespace ides

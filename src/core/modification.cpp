@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "core/initial_mapping.h"
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "util/log.h"
 
@@ -52,30 +53,30 @@ SubsetEval evaluateSubset(const SystemModel& sys, const FutureProfile& profile,
   const auto current = sys.graphsOfKind(AppKind::Current);
   movable.insert(movable.end(), current.begin(), current.end());
 
-  // Initial mapping over the whole movable set.
+  // Initial mapping over the whole movable set, in movable-set order; MH
+  // warm-starts from it.
   PlatformState imState = state;
   ScheduleRequest imReq;
   imReq.graphs = movable;
   imReq.chooseNodes = true;
   const ScheduleOutcome im = scheduleGraphs(sys, imReq, imState);
-  out.evaluations += 1;
-  if (!im.feasible) return out;
+  if (!im.feasible) {
+    out.evaluations += 1;
+    return out;
+  }
 
   const SolutionEvaluator evaluator(sys, state, profile, options.weights,
                                     movable);
-  const MhResult mh = runMappingHeuristic(evaluator, im.mapping, options.mh);
+  const MappingHeuristicOptimizer optimizer(options.mh);
+  RunContext context;
+  RunReport mh = optimizer.run(evaluator, context, &im.mapping);
   out.evaluations += mh.evaluations;
-
-  ScheduleOutcome outcome;
-  const EvalResult eval =
-      evaluator.evaluate(mh.solution, &outcome, nullptr);
-  out.evaluations += 1;
-  if (!eval.feasible) return out;
+  if (!mh.feasible) return out;
   out.feasible = true;
-  out.objective = eval.cost;
-  out.metrics = eval.metrics;
-  out.solution = mh.solution;
-  out.schedule = std::move(outcome.schedule);
+  out.objective = mh.objective;
+  out.metrics = mh.metrics;
+  out.solution = std::move(mh.mapping);
+  out.schedule = std::move(mh.schedule);
   return out;
 }
 

@@ -55,12 +55,8 @@ void validateOptions(const DesignerOptions& options) {
   }
   validateOptions(options.mh);
   validateOptions(options.sa);
+  validateOptions(options.psa);
   validateOptions(options.tabu);
-  // PSA runs with psa.base replaced by `sa`, so validate that combination
-  // (psa.base itself is documented as ignored).
-  ParallelSaOptions psa = options.psa;
-  psa.base = options.sa;
-  validateOptions(psa);
 }
 
 EvalContext& RunContext::evalContext(const SolutionEvaluator& evaluator) {
@@ -71,39 +67,57 @@ EvalContext& RunContext::evalContext(const SolutionEvaluator& evaluator) {
 }
 
 RunReport Optimizer::run(const SolutionEvaluator& evaluator,
-                         RunContext& context) const {
+                         RunContext& context,
+                         const MappingSolution* warmStart) const {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
   RunReport report;
   report.strategy = name();
-  const TraceSpan span("optimizer:" + report.strategy, "core");
+  const bool warm = warmStart != nullptr;
+  const TraceSpan span("optimizer:" + name() + (warm ? ":warm" : ""), "core");
 
-  // Every strategy starts from the same Initial Mapping on the frozen
-  // baseline, over the graphs the evaluator moves. The evaluator keeps
-  // them heaviest-first; IM commits them in application order, which for
-  // the default evaluator is the AppKind::Current list itself.
-  const SystemModel& sys = evaluator.system();
-  std::vector<GraphId> graphs;
-  for (const Application& app : sys.applications()) {
-    for (const GraphId g : app.graphs) {
-      if (evaluator.graphIndexOf(g) < evaluator.currentGraphs().size()) {
-        graphs.push_back(g);
-      }
+  MappingSolution solution;
+  if (warm) {
+    // Validate the seed before committing to it: warm starts can be stale
+    // (the platform or the application set changed since the placements
+    // were committed), and improve() requires a feasible entry solution.
+    const EvalResult seed = context.evalContext(evaluator).evaluate(*warmStart);
+    report.evaluations = 1;
+    if (seed.feasible) {
+      report.warmStarted = true;
+      solution = *warmStart;
+      context.report({report.strategy, "warm-start", 0, 0, seed.cost});
     }
   }
-  PlatformState state = evaluator.baseline();
-  const ScheduleOutcome im = initialMapping(sys, state, graphs);
-  report.evaluations = 1;
-  context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
-  if (!im.feasible) {
-    report.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    recordRunTelemetry(report);
-    return report;
+
+  if (!report.warmStarted) {
+    // Every strategy starts from the same Initial Mapping on the frozen
+    // baseline, over the graphs the evaluator moves. The evaluator keeps
+    // them heaviest-first; IM commits them in application order, which
+    // for the default evaluator is the AppKind::Current list itself.
+    const SystemModel& sys = evaluator.system();
+    std::vector<GraphId> graphs;
+    for (const Application& app : sys.applications()) {
+      for (const GraphId g : app.graphs) {
+        if (evaluator.graphIndexOf(g) < evaluator.currentGraphs().size()) {
+          graphs.push_back(g);
+        }
+      }
+    }
+    PlatformState state = evaluator.baseline();
+    ScheduleOutcome im = initialMapping(sys, state, graphs);
+    ++report.evaluations;
+    context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
+    if (!im.feasible) {
+      report.seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      recordRunTelemetry(report);
+      return report;
+    }
+    solution = std::move(im.mapping);
   }
 
-  MappingSolution solution = im.mapping;
   if (context.stopRequested()) {
     report.stopped = true;
   } else {
@@ -128,146 +142,6 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
       std::chrono::duration<double>(Clock::now() - start).count();
   recordRunTelemetry(report);
   return report;
-}
-
-RunReport Optimizer::run(const SolutionEvaluator& evaluator,
-                         RunContext& context,
-                         const MappingSolution* warmStart) const {
-  if (warmStart == nullptr) return run(evaluator, context);
-
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  const TraceSpan span("optimizer:" + name() + ":warm", "core");
-
-  // Validate the seed before committing to it: warm starts can be stale
-  // (the platform or the application set changed since the placements were
-  // committed), and improve() requires a feasible entry solution.
-  EvalContext& probe = context.evalContext(evaluator);
-  const EvalResult seed = probe.evaluate(*warmStart);
-  if (!seed.feasible) {
-    RunReport cold = run(evaluator, context);
-    ++cold.evaluations;  // the rejected seed's validation pass
-    cold.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    return cold;
-  }
-
-  RunReport report;
-  report.strategy = name();
-  report.evaluations = 1;
-  context.report({report.strategy, "warm-start", 0, 0, seed.cost});
-
-  MappingSolution solution = *warmStart;
-  if (context.stopRequested()) {
-    report.stopped = true;
-  } else {
-    report.evaluations += improve(evaluator, solution, context, report);
-  }
-
-  EvalContext& final = context.evalContext(evaluator);
-  ScheduleOutcome outcome;
-  const EvalResult eval = final.evaluate(solution, &outcome, nullptr);
-  ++report.evaluations;
-  context.report(
-      {report.strategy, "final", report.evaluations, 0, eval.cost});
-
-  report.feasible = eval.feasible;
-  report.mapping = std::move(solution);
-  report.schedule = std::move(outcome.schedule);
-  report.metrics = eval.metrics;
-  report.objective = eval.cost;
-  report.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  recordRunTelemetry(report);
-  return report;
-}
-
-// ---- built-in optimizers --------------------------------------------------
-
-MappingHeuristicOptimizer::MappingHeuristicOptimizer(MhOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t MappingHeuristicOptimizer::improve(
-    const SolutionEvaluator& evaluator, MappingSolution& solution,
-    RunContext& context, RunReport& report) const {
-  MhOptions options = options_;
-  if (options.stop == nullptr) options.stop = context.stop;
-  EvalContext* scratch = options.incrementalEval
-                             ? &context.evalContext(evaluator)
-                             : nullptr;
-  MhResult mh = runMappingHeuristic(evaluator, solution, options, scratch);
-  solution = std::move(mh.solution);
-  report.stopped = mh.stopped;
-  context.report({"MH", "improve", mh.evaluations, 0, mh.eval.cost});
-  return mh.evaluations;
-}
-
-SimulatedAnnealingOptimizer::SimulatedAnnealingOptimizer(SaOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t SimulatedAnnealingOptimizer::improve(
-    const SolutionEvaluator& evaluator, MappingSolution& solution,
-    RunContext& context, RunReport& report) const {
-  SaOptions options = options_;
-  if (options.stop == nullptr) options.stop = context.stop;
-  EvalContext* scratch =
-      options.incrementalEval ? &context.evalContext(evaluator) : nullptr;
-  SaResult sa = runSimulatedAnnealing(evaluator, solution, options, scratch);
-  solution = std::move(sa.solution);
-  report.stopped = sa.stopped;
-  report.proposals = sa.proposals;
-  report.accepted = sa.accepted;
-  report.zeroDeltaSkips = sa.zeroDeltaSkips;
-  context.report({"SA", "improve", sa.evaluations, 0, sa.eval.cost});
-  return sa.evaluations;
-}
-
-ParallelAnnealingOptimizer::ParallelAnnealingOptimizer(
-    ParallelSaOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t ParallelAnnealingOptimizer::improve(
-    const SolutionEvaluator& evaluator, MappingSolution& solution,
-    RunContext& context, RunReport& report) const {
-  ParallelSaOptions options = options_;
-  if (options.base.stop == nullptr) options.base.stop = context.stop;
-  ParallelSaResult psa = runParallelAnnealing(evaluator, solution, options);
-  solution = std::move(psa.solution);
-  report.stopped = psa.stopped;
-  report.proposals = psa.proposals;
-  report.accepted = psa.accepted;
-  report.zeroDeltaSkips = psa.zeroDeltaSkips;
-  context.report({"PSA", "improve", psa.evaluations, 0, psa.eval.cost});
-  return psa.evaluations;
-}
-
-TabuSearchOptimizer::TabuSearchOptimizer(TabuOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
-                                         MappingSolution& solution,
-                                         RunContext& context,
-                                         RunReport& report) const {
-  TabuOptions options = options_;
-  if (options.stop == nullptr) options.stop = context.stop;
-  EvalContext* scratch = options.incrementalEval
-                             ? &context.evalContext(evaluator)
-                             : nullptr;
-  TabuResult tabu = runTabuSearch(evaluator, solution, options, scratch);
-  solution = std::move(tabu.solution);
-  report.stopped = tabu.stopped;
-  report.proposals = tabu.proposals;
-  report.accepted = tabu.accepted;
-  context.report({"tabu", "improve", tabu.evaluations, 0, tabu.eval.cost});
-  return tabu.evaluations;
 }
 
 // ---- registry -------------------------------------------------------------
@@ -323,11 +197,7 @@ const StrategyRegistry& StrategyRegistry::builtin() {
       return std::make_unique<SimulatedAnnealingOptimizer>(o.sa);
     });
     r.add("PSA", [](const DesignerOptions& o) {
-      // One knob set for chain parameters: PSA takes its per-chain options
-      // from `sa`, exactly like the legacy designer switch did.
-      ParallelSaOptions psa = o.psa;
-      psa.base = o.sa;
-      return std::make_unique<ParallelAnnealingOptimizer>(psa);
+      return std::make_unique<ParallelAnnealingOptimizer>(o.sa, o.psa);
     });
     r.add("tabu", [](const DesignerOptions& o) {
       return std::make_unique<TabuSearchOptimizer>(o.tabu);

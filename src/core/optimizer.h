@@ -1,29 +1,32 @@
 // The pluggable optimizer API.
 //
-// Every mapping strategy — the paper's AH / MH / SA and this repo's PSA —
-// is an Optimizer: `name()` plus `run(evaluator, context) -> RunReport`.
-// All optimizers share the same contract: start from the Initial Mapping on
-// the evaluator's frozen baseline, improve it, and report the final
-// solution with its metrics. Construction takes the strategy's typed
-// options struct, so configuration stays statically checked; resolution by
-// name goes through the StrategyRegistry, which is what the CLI, the batch
-// runner and the IncrementalDesigner facade use. Adding a strategy is one
-// subclass plus one registry entry — no switch statements to extend.
+// Every mapping strategy — the paper's AH / MH / SA, PSA and tabu search —
+// is an Optimizer: `name()` plus `run(evaluator, context) -> RunReport`,
+// and Optimizer::run is the only way to run one. All optimizers share the
+// same contract: start from the Initial Mapping on the evaluator's frozen
+// baseline (or from a feasible warm seed), improve it, and report the final
+// solution with its metrics. Each built-in strategy's search is its
+// subclass's improve(), defined in the strategy's own .cpp file.
+// Construction takes the strategy's typed options struct, so configuration
+// stays statically checked; resolution by name goes through the
+// StrategyRegistry, which is what the CLI, the batch runner and the
+// IncrementalDesigner facade use. Adding a strategy is one subclass plus
+// one registry entry — no switch statements to extend.
 //
 // RunContext carries the run's cross-cutting services:
 //   * one delta-aware EvalContext, built on first use and shared across
 //     successive runs on the same evaluator (the AH/MH/SA comparison on one
 //     instance re-uses it instead of re-copying the baseline per strategy);
-//   * a cooperative StopToken (deadline + cancellation) threaded into the
+//   * a cooperative StopToken (deadline + cancellation) polled by the
 //     strategy inner loops, so a fired token yields a well-formed partial
-//     result with RunReport::stopped set;
+//     result with RunReport::stopped set — the one stop token a strategy
+//     reads (its options carry none);
 //   * a ProgressSink notified at the run's phase boundaries.
 //
 // Determinism: an optimizer's RunReport is a pure function of (evaluator,
 // typed options); the context services never perturb results — the shared
 // context is verified-never-trusted, and an unfired stop token leaves
-// trajectories bit-identical (asserted by the optimizer test suite against
-// direct runSimulatedAnnealing / runParallelAnnealing calls).
+// trajectories bit-identical (asserted by the optimizer test suite).
 #pragma once
 
 #include <functional>
@@ -50,11 +53,10 @@ namespace ides {
 struct DesignerOptions {
   MetricWeights weights;
   MhOptions mh;
-  /// Chain parameters for both SA and PSA (PSA overrides `psa.base` with
-  /// this, so one knob set configures the single chain and the ensemble).
+  /// Chain parameters for both SA and PSA, so one knob set configures the
+  /// single chain and the ensemble.
   SaOptions sa;
-  /// PSA ensemble shape (threads/restarts/perChainIterations); `psa.base`
-  /// is ignored here — see `sa`.
+  /// PSA ensemble shape (threads/restarts/perChainIterations).
   ParallelSaOptions psa;
   /// Tabu-search budget and memory shape (the "tabu" registry entry).
   TabuOptions tabu;
@@ -137,6 +139,9 @@ struct RunReport {
   std::size_t zeroDeltaSkips = 0;
   /// True when a StopToken ended the run before its configured budget.
   bool stopped = false;
+  /// True when improvement started from the caller's warm seed (it was
+  /// given and evaluated feasibly) rather than from the Initial Mapping.
+  bool warmStarted = false;
 };
 
 /// A mapping strategy. Implementations are immutable after construction
@@ -152,26 +157,25 @@ class Optimizer {
   /// (currentGraphs(), in application order) on its baseline,
   /// improvement, final evaluation. Never returns an infeasible mapping as
   /// feasible; a fired stop token yields the best solution found so far.
-  [[nodiscard]] RunReport run(const SolutionEvaluator& evaluator,
-                              RunContext& context) const;
-
-  /// Warm-started run: when `warmStart` is non-null and evaluates feasibly
-  /// on this evaluator, improvement starts from it instead of the Initial
-  /// Mapping (progress phase "warm-start" instead of "initial-mapping").
-  /// An infeasible seed — e.g. lifecycle placements gone stale after a
-  /// platform perturbation — falls back to the cold run above; the seed's
-  /// one validation evaluation is still accounted in the report. A null
-  /// seed is exactly the cold run, so callers can thread an optional seed
-  /// through unconditionally.
+  ///
+  /// Warm start: when `warmStart` is non-null and evaluates feasibly on
+  /// this evaluator, improvement starts from it instead of the Initial
+  /// Mapping (progress phase "warm-start" instead of "initial-mapping",
+  /// RunReport::warmStarted set). An infeasible seed — e.g. lifecycle
+  /// placements gone stale after a platform perturbation — falls back to
+  /// the Initial Mapping; the seed's one validation evaluation is still
+  /// accounted in the report. A null seed is the cold run.
   [[nodiscard]] RunReport run(const SolutionEvaluator& evaluator,
                               RunContext& context,
-                              const MappingSolution* warmStart) const;
+                              const MappingSolution* warmStart = nullptr) const;
 
  protected:
-  /// Strategy hook: improve `solution` (feasible on entry) in place and
-  /// return the number of schedule evaluations consumed. Sets
-  /// `report.stopped` when a stop token cut the improvement short and fills
-  /// the report's move-generation telemetry (proposals / accepted /
+  /// Strategy hook: improve `solution` (feasible on entry) in place on
+  /// `context.evalContext(evaluator)` and return the number of schedule
+  /// evaluations consumed, the entry solution's own evaluation included.
+  /// Leaves the improved solution's cost in `report.objective`, sets
+  /// `report.stopped` when `context.stop` cut the improvement short, and
+  /// fills the report's move-generation telemetry (proposals / accepted /
   /// zeroDeltaSkips) where the strategy tracks it.
   virtual std::size_t improve(const SolutionEvaluator& evaluator,
                               MappingSolution& solution, RunContext& context,
@@ -196,7 +200,6 @@ class MappingHeuristicOptimizer final : public Optimizer {
  public:
   explicit MappingHeuristicOptimizer(MhOptions options = {});
   [[nodiscard]] std::string name() const override { return "MH"; }
-  [[nodiscard]] const MhOptions& options() const { return options_; }
 
  protected:
   std::size_t improve(const SolutionEvaluator& evaluator,
@@ -212,7 +215,6 @@ class SimulatedAnnealingOptimizer final : public Optimizer {
  public:
   explicit SimulatedAnnealingOptimizer(SaOptions options = {});
   [[nodiscard]] std::string name() const override { return "SA"; }
-  [[nodiscard]] const SaOptions& options() const { return options_; }
 
  protected:
   std::size_t improve(const SolutionEvaluator& evaluator,
@@ -220,15 +222,19 @@ class SimulatedAnnealingOptimizer final : public Optimizer {
                       RunReport& report) const override;
 
  private:
+  /// PSA runs each of its chains through improve().
+  friend class ParallelAnnealingOptimizer;
   SaOptions options_;
 };
 
-/// PSA — best-of-K multi-start SA, one chain per thread.
+/// PSA — best-of-K multi-start SA, one chain per thread. `chain` configures
+/// every chain (its seed seeds the ensemble), `ensemble` the chain count
+/// and thread budget.
 class ParallelAnnealingOptimizer final : public Optimizer {
  public:
-  explicit ParallelAnnealingOptimizer(ParallelSaOptions options = {});
+  explicit ParallelAnnealingOptimizer(SaOptions chain = {},
+                                      ParallelSaOptions ensemble = {});
   [[nodiscard]] std::string name() const override { return "PSA"; }
-  [[nodiscard]] const ParallelSaOptions& options() const { return options_; }
 
  protected:
   std::size_t improve(const SolutionEvaluator& evaluator,
@@ -236,7 +242,8 @@ class ParallelAnnealingOptimizer final : public Optimizer {
                       RunReport& report) const override;
 
  private:
-  ParallelSaOptions options_;
+  SaOptions chain_;
+  ParallelSaOptions ensemble_;
 };
 
 /// tabu — best-admissible local search with recency memory over the SA move
@@ -246,7 +253,6 @@ class TabuSearchOptimizer final : public Optimizer {
  public:
   explicit TabuSearchOptimizer(TabuOptions options = {});
   [[nodiscard]] std::string name() const override { return "tabu"; }
-  [[nodiscard]] const TabuOptions& options() const { return options_; }
 
  protected:
   std::size_t improve(const SolutionEvaluator& evaluator,

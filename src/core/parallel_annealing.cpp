@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/optimizer.h"
 #include "util/rng.h"
 
 namespace ides {
@@ -46,7 +46,6 @@ void validateOptions(const ParallelSaOptions& options) {
   check("restarts", options.restarts, 1);
   check("threads", options.threads, 0);  // 0 = hardware concurrency
   check("perChainIterations", options.perChainIterations, 0);
-  validateOptions(options.base);
 }
 
 std::uint64_t parallelSaChainSeed(std::uint64_t baseSeed, int index) {
@@ -56,46 +55,48 @@ std::uint64_t parallelSaChainSeed(std::uint64_t baseSeed, int index) {
   return splitmix64(baseSeed + static_cast<std::uint64_t>(index));
 }
 
-ParallelSaResult runParallelAnnealing(const SolutionEvaluator& evaluator,
-                                      const MappingSolution& initial,
-                                      const ParallelSaOptions& options) {
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
+ParallelAnnealingOptimizer::ParallelAnnealingOptimizer(
+    SaOptions chain, ParallelSaOptions ensemble)
+    : chain_(chain), ensemble_(ensemble) {
+  validateOptions(chain_);
+  validateOptions(ensemble_);
+}
 
-  validateOptions(options);
-  const int chains = options.restarts;
+std::size_t ParallelAnnealingOptimizer::improve(
+    const SolutionEvaluator& evaluator, MappingSolution& solution,
+    RunContext& context, RunReport& report) const {
+  const int chains = ensemble_.restarts;
 
-  SaOptions chainOptions = options.base;
-  if (options.perChainIterations > 0) {
-    chainOptions.iterations = options.perChainIterations;
+  SaOptions chainOptions = chain_;
+  if (ensemble_.perChainIterations > 0) {
+    chainOptions.iterations = ensemble_.perChainIterations;
   }
 
   unsigned threadBudget =
-      options.threads > 0 ? static_cast<unsigned>(options.threads)
-                          : std::thread::hardware_concurrency();
+      ensemble_.threads > 0 ? static_cast<unsigned>(ensemble_.threads)
+                            : std::thread::hardware_concurrency();
   if (threadBudget == 0) threadBudget = 1;
   const unsigned workers =
       std::min<unsigned>(threadBudget, static_cast<unsigned>(chains));
 
-  // Fail fast (and on the caller's thread) on an infeasible start instead
-  // of throwing inside every worker.
-  if (!evaluator.evaluate(initial).feasible) {
-    throw std::invalid_argument("runParallelAnnealing: initial not feasible");
-  }
-
-  // Chain i writes only results[i] / errors[i]; the atomic counter hands
-  // out chain indices, so no two workers touch the same slot.
-  std::vector<SaResult> results(static_cast<std::size_t>(chains));
+  // Chain i writes only reports[i] / errors[i]; the atomic counter hands
+  // out chain indices, so no two workers touch the same slot. Each chain
+  // improves its own copy of the start in reports[i].mapping, on its own
+  // RunContext (so its own EvalContext) polling the caller's stop token.
+  std::vector<RunReport> reports(static_cast<std::size_t>(chains));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(chains));
   std::atomic<int> next{0};
 
   auto worker = [&]() {
     for (int i = next.fetch_add(1, std::memory_order_relaxed); i < chains;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      const SaOptions opts = chainOptionsFor(chainOptions, i);
+      RunReport& r = reports[static_cast<std::size_t>(i)];
       try {
-        results[static_cast<std::size_t>(i)] =
-            runSimulatedAnnealing(evaluator, initial, opts);
+        const SimulatedAnnealingOptimizer sa(chainOptionsFor(chainOptions, i));
+        RunContext chainContext;
+        chainContext.stop = context.stop;
+        r.mapping = solution;
+        r.evaluations = sa.improve(evaluator, r.mapping, chainContext, r);
       } catch (...) {
         errors[static_cast<std::size_t>(i)] = std::current_exception();
       }
@@ -115,26 +116,23 @@ ParallelSaResult runParallelAnnealing(const SolutionEvaluator& evaluator,
     if (e) std::rethrow_exception(e);
   }
 
-  ParallelSaResult out;
-  out.chainCosts.reserve(static_cast<std::size_t>(chains));
-  for (int i = 0; i < chains; ++i) {
-    const SaResult& r = results[static_cast<std::size_t>(i)];
-    out.evaluations += r.evaluations;
-    out.accepted += r.accepted;
-    out.proposals += r.proposals;
-    out.zeroDeltaSkips += r.zeroDeltaSkips;
-    out.stopped = out.stopped || r.stopped;
-    out.chainCosts.push_back(r.eval.cost);
+  std::size_t evaluations = 0;
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const RunReport& r = reports[i];
+    evaluations += r.evaluations;
+    report.accepted += r.accepted;
+    report.proposals += r.proposals;
+    report.zeroDeltaSkips += r.zeroDeltaSkips;
+    report.stopped = report.stopped || r.stopped;
     // Every chain's incumbent is feasible (SA only promotes feasible
     // states); strict < keeps ties on the lowest chain index.
-    if (out.bestChain < 0 || r.eval.cost < out.eval.cost) {
-      out.bestChain = i;
-      out.eval = r.eval;
-    }
+    if (r.objective < reports[best].objective) best = i;
   }
-  out.solution = results[static_cast<std::size_t>(out.bestChain)].solution;
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  return out;
+  solution = std::move(reports[best].mapping);
+  report.objective = reports[best].objective;
+  context.report({"PSA", "improve", evaluations, 0, report.objective});
+  return evaluations;
 }
 
 }  // namespace ides

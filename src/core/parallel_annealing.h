@@ -5,73 +5,45 @@
 // incumbent across chains. Chains 1..K-1 additionally diversify the
 // cooling schedule (colder and hotter starts around the base temperature),
 // hedging against a mistuned schedule on short per-chain budgets.
-// The shared SolutionEvaluator is const; every chain owns its private
+// The shared SolutionEvaluator is const; every chain runs through the SA
+// optimizer's own improvement with a private RunContext, and so a private
 // EvalContext (the delta-aware per-thread evaluation scratch), so the
-// chains re-schedule only what their moves touch without any sharing.
+// chains re-schedule only what their moves touch without any sharing. All
+// chains poll the caller's stop token.
 //
-// Determinism: chain i's seed depends only on (options.base.seed, i), and
-// chains never exchange state, so the result is bit-identical for any
-// thread count. Chain 0 reuses base.seed verbatim, which makes the K-chain
-// result provably no worse than a single chain run with the same options.
+// The ensemble runs as ParallelAnnealingOptimizer (core/optimizer.h), built
+// from the chain's SaOptions and the ensemble shape below.
+//
+// Determinism: chain i's seed depends only on (the chain SaOptions' seed,
+// i), and chains never exchange state, so the result is bit-identical for
+// any thread count. Chain 0 reuses that seed verbatim, which makes the
+// K-chain result provably no worse than a single chain run with the same
+// options.
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "core/simulated_annealing.h"
 
 namespace ides {
 
+/// The ensemble shape; the per-chain SA configuration is a separate
+/// SaOptions whose seed seeds the whole ensemble.
 struct ParallelSaOptions {
-  /// Per-chain SA configuration; `base.seed` seeds the whole ensemble and
-  /// `base.iterations` is the per-chain default.
-  SaOptions base;
   /// Cap on concurrently running chains (one thread each); 0 means
   /// std::thread::hardware_concurrency().
   int threads = 0;
   /// Number of independent chains (K). Must be >= 1.
   int restarts = 4;
-  /// Iterations per chain; 0 means base.iterations.
+  /// Iterations per chain; 0 means the chain SaOptions' iterations.
   int perChainIterations = 0;
 };
 
 /// Range-checks every knob (restarts >= 1, non-negative thread/iteration
-/// budgets) including the embedded base SaOptions; throws
-/// std::invalid_argument naming the offending field. Called on entry of
-/// runParallelAnnealing.
+/// budgets); throws std::invalid_argument naming the offending field.
+/// Called by the PSA optimizer's constructor.
 void validateOptions(const ParallelSaOptions& options);
 
 /// Seed of chain `index` for a given ensemble seed: chain 0 keeps the base
 /// seed, later chains get splitmix64-scrambled derivatives.
 std::uint64_t parallelSaChainSeed(std::uint64_t baseSeed, int index);
-
-struct ParallelSaResult {
-  /// Best feasible incumbent across all chains (ties break toward the
-  /// lowest chain index, keeping selection deterministic).
-  MappingSolution solution;
-  EvalResult eval;
-  /// Index of the winning chain.
-  int bestChain = -1;
-  /// Final incumbent cost of every chain, in chain order.
-  std::vector<double> chainCosts;
-  /// Evaluation / move-generation counters summed over all chains (see
-  /// SaResult for the per-chain semantics).
-  std::size_t evaluations = 0;
-  std::size_t accepted = 0;
-  std::size_t proposals = 0;
-  std::size_t zeroDeltaSkips = 0;
-  /// Wall-clock time of the whole ensemble, in seconds.
-  double seconds = 0.0;
-  /// True when base.stop cancelled at least one chain before its budget
-  /// (the incumbent is still the best feasible solution seen so far).
-  bool stopped = false;
-};
-
-/// Requires `initial` to be feasible (same contract as
-/// runSimulatedAnnealing); throws std::invalid_argument otherwise or when
-/// options.restarts < 1.
-ParallelSaResult runParallelAnnealing(const SolutionEvaluator& evaluator,
-                                      const MappingSolution& initial,
-                                      const ParallelSaOptions& options = {});
 
 }  // namespace ides

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "util/log.h"
 
@@ -76,10 +76,10 @@ void validateOptions(const SaOptions& options) {
 }
 
 SaMoveProposer::SaMoveProposer(const SolutionEvaluator& evaluator,
-                               const SaOptions& options)
+                               double probRemap, double probProcessHint)
     : sys_(&evaluator.system()),
-      probRemap_(options.probRemap),
-      probProcessHint_(options.probProcessHint) {
+      probRemap_(probRemap),
+      probProcessHint_(probProcessHint) {
   for (GraphId g : evaluator.currentGraphs()) {
     const ProcessGraph& graph = sys_->graph(g);
     procs_.insert(procs_.end(), graph.processes.begin(),
@@ -87,7 +87,8 @@ SaMoveProposer::SaMoveProposer(const SolutionEvaluator& evaluator,
     msgs_.insert(msgs_.end(), graph.messages.begin(), graph.messages.end());
   }
   if (procs_.empty()) {
-    throw std::invalid_argument("runSimulatedAnnealing: empty application");
+    throw std::invalid_argument(
+        "SA/PSA/tabu optimizer: empty application (no process to move)");
   }
   allowedSpan_.assign(sys_->processes().size(), {0, 0});
   for (const ProcessId p : procs_) {
@@ -226,66 +227,61 @@ bool ZeroDeltaFilter::zeroDelta(const SaMove& move,
   return false;
 }
 
-SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
-                               const MappingSolution& initial,
-                               const SaOptions& options,
-                               EvalContext* scratch) {
-  validateOptions(options);
-  if (scratch != nullptr && &scratch->evaluator() != &evaluator) {
-    throw std::invalid_argument(
-        "runSimulatedAnnealing: scratch context bound to another evaluator");
-  }
+// ---- SimulatedAnnealingOptimizer ------------------------------------------
 
-  const SaMoveProposer proposer(evaluator, options);
+SimulatedAnnealingOptimizer::SimulatedAnnealingOptimizer(SaOptions options)
+    : options_(options) {
+  validateOptions(options_);
+}
+
+std::size_t SimulatedAnnealingOptimizer::improve(
+    const SolutionEvaluator& evaluator, MappingSolution& solution,
+    RunContext& context, RunReport& report) const {
+  const SaOptions& options = options_;
+  const SaMoveProposer proposer(evaluator, options.probRemap,
+                                options.probProcessHint);
   Rng proposalRng(rngStreamSeed(options.seed, kSaProposalStream));
   Rng acceptanceRng(rngStreamSeed(options.seed, kSaAcceptanceStream));
 
   // One journaled scratch state for the whole chain: each move re-schedules
-  // only the graphs it touches (full pass when incrementalEval is off). A
-  // caller-provided context (the RunContext's) is reused verbatim —
-  // its checkpoints are verified, never trusted, so results are identical.
-  EvalContext* ctx = scratch;
-  std::unique_ptr<EvalContext> owned;
-  if (ctx == nullptr && options.incrementalEval) {
-    owned = std::make_unique<EvalContext>(evaluator);
-    ctx = owned.get();
-  }
+  // only the graphs it touches (full pass when incrementalEval is off). The
+  // context's checkpoints are verified, never trusted, so whatever an
+  // earlier run left in it cannot change the result.
+  EvalContext& ctx = context.evalContext(evaluator);
   auto evaluateMove = [&](const MappingSolution& s,
                           const MoveHint& hint) -> EvalResult {
-    return options.incrementalEval ? ctx->evaluate(s, hint)
+    return options.incrementalEval ? ctx.evaluate(s, hint)
                                    : evaluator.evaluate(s);
   };
 
-  SaResult result;
-  result.solution = initial;
-  result.eval =
-      options.incrementalEval ? ctx->evaluate(initial)
-                              : evaluator.evaluate(initial);
-  result.evaluations = 1;
-  if (!result.eval.feasible) {
-    throw std::invalid_argument("runSimulatedAnnealing: initial not feasible");
-  }
+  // The incumbent is `solution` itself; `best` is its evaluation. Proposals
+  // the zero-delta filter replays without computing still count as
+  // evaluations (their result is known exactly), so the count stays
+  // invariant across incrementalEval on/off.
+  EvalResult best = options.incrementalEval ? ctx.evaluate(solution)
+                                            : evaluator.evaluate(solution);
+  std::size_t evaluations = 1;
   // Gap-fingerprint filter: replay provably schedule-identical hint moves
   // without evaluating them (incremental mode only — the fingerprint comes
   // from the context's committed schedule).
   const bool useFilter = options.incrementalEval;
   ZeroDeltaFilter filter(evaluator);
-  if (useFilter) filter.captureAccepted(*ctx, result.eval);
+  if (useFilter) filter.captureAccepted(ctx, best);
 
-  MappingSolution current = initial;
-  double currentCost = result.eval.cost;
+  MappingSolution current = solution;
+  double currentCost = best.cost;
 
-  const SaSchedule schedule = saSchedule(options, result.eval.cost);
+  const SaSchedule schedule = saSchedule(options, best.cost);
   double temp = schedule.t0;
 
   MappingSolution trial;
   for (int it = 0; it < options.iterations; ++it, temp *= schedule.alpha) {
-    if (options.stop != nullptr && options.stop->stopRequested()) {
-      result.stopped = true;
+    if (context.stopRequested()) {
+      report.stopped = true;
       break;
     }
     const SaMove move = proposer.propose(current, proposalRng);
-    ++result.proposals;
+    ++report.proposals;
     if (move.kind != SaMove::Kind::None) {
       if (useFilter && filter.zeroDelta(move, current)) {
         // The evaluation would return exactly currentCost: delta == 0
@@ -293,31 +289,33 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
         // improve. Replay the certain acceptance without evaluating; the
         // fingerprint stays valid (the schedule is unchanged).
         SaMoveProposer::apply(move, current);
-        ++result.evaluations;
-        ++result.zeroDeltaSkips;
-        ++result.accepted;
+        ++evaluations;
+        ++report.zeroDeltaSkips;
+        ++report.accepted;
       } else {
         trial = current;
         SaMoveProposer::apply(move, trial);
         const EvalResult r = evaluateMove(trial, move.evalHint);
-        ++result.evaluations;
+        ++evaluations;
         const double delta = r.cost - currentCost;
         if (metropolisAccept(delta, temp, acceptanceRng)) {
           current = std::move(trial);
           currentCost = r.cost;
-          ++result.accepted;
-          if (r.feasible && r.cost < result.eval.cost) {
-            result.solution = current;
-            result.eval = r;
+          ++report.accepted;
+          if (r.feasible && r.cost < best.cost) {
+            solution = current;
+            best = r;
             IDES_LOG_AT(LogLevel::Debug)
                 << "SA iter " << it << ": best C=" << r.cost << " T=" << temp;
           }
-          if (useFilter) filter.captureAccepted(*ctx, r);
+          if (useFilter) filter.captureAccepted(ctx, r);
         }
       }
     }
   }
-  return result;
+  report.objective = best.cost;
+  context.report({"SA", "improve", evaluations, 0, best.cost});
+  return evaluations;
 }
 
 }  // namespace ides

@@ -19,6 +19,10 @@
 // same proposer and proposal stream without an acceptance stream of its
 // own. The chain trajectory is a function of (options, evaluator, initial)
 // only.
+//
+// The chain itself runs as SimulatedAnnealingOptimizer (core/optimizer.h);
+// this header holds its options and the move kernel it shares with PSA and
+// tabu search.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +32,6 @@
 #include "core/evaluator.h"
 #include "sched/mapping.h"
 #include "util/rng.h"
-#include "util/stop_token.h"
 
 namespace ides {
 
@@ -53,40 +56,13 @@ struct SaOptions {
   /// are bit-identical either way (asserted by the property tests), so this
   /// is a pure performance switch kept for comparison and testing.
   bool incrementalEval = true;
-
-  /// Cooperative cancellation: polled once per iteration. When it fires
-  /// the chain stops, keeps its best incumbent so far and sets
-  /// SaResult::stopped. Null = never stops early.
-  /// The token does not perturb the trajectory while unfired, so two runs
-  /// that both finish their budget are bit-identical with or without it.
-  const StopToken* stop = nullptr;
 };
 
 /// Range-checks every knob; throws std::invalid_argument with a message
 /// naming the offending field (e.g. negative iterations, probabilities
-/// outside [0, 1] or summing past 1). Called on entry of
-/// runSimulatedAnnealing.
+/// outside [0, 1] or summing past 1). Called by the SA and PSA optimizer
+/// constructors.
 void validateOptions(const SaOptions& options);
-
-struct SaResult {
-  MappingSolution solution;  ///< best feasible solution seen
-  EvalResult eval;
-  /// Evaluations consumed by the chain (initial + one per non-None
-  /// iteration). Proposals the zero-delta filter replayed without computing
-  /// are still counted here (their result is known exactly), so the counter
-  /// stays invariant across incrementalEval on/off.
-  std::size_t evaluations = 0;
-  std::size_t accepted = 0;
-  /// Move-generation telemetry: proposals consumed by the chain (None
-  /// moves included) and the subset the gap-fingerprint filter proved
-  /// schedule-identical and replayed without any evaluation (always 0 when
-  /// incrementalEval is off). Both are pure functions of the trajectory;
-  /// proposals is invariant to incrementalEval.
-  std::size_t proposals = 0;
-  std::size_t zeroDeltaSkips = 0;
-  /// True when SaOptions::stop ended the chain before its iteration budget.
-  bool stopped = false;
-};
 
 /// One candidate design transformation, drawn from the proposal stream and
 /// applied to a solution later (tabu search scores a batch of them before
@@ -111,8 +87,11 @@ struct SaMove {
 class SaMoveProposer {
  public:
   /// Collects the movable processes / messages of the evaluator's current
-  /// graphs. Throws std::invalid_argument when there is nothing to move.
-  SaMoveProposer(const SolutionEvaluator& evaluator, const SaOptions& options);
+  /// graphs; the move mix is `probRemap` re-maps, `probProcessHint`
+  /// start-hint moves and message-hint moves for the rest. Throws
+  /// std::invalid_argument when there is nothing to move.
+  SaMoveProposer(const SolutionEvaluator& evaluator, double probRemap,
+                 double probProcessHint);
 
   /// Draws the next move. Consumption of `proposalRng` depends only on the
   /// move mix and `current` — never on evaluation results.
@@ -185,16 +164,5 @@ class ZeroDeltaFilter {
   std::vector<Time> period_;    ///< by ProcessId::index(); movable only
   std::vector<std::int32_t> instances_;  ///< by ProcessId::index()
 };
-
-/// Requires `initial` to be feasible; throws otherwise.
-///
-/// `scratch`, when given, is a caller-owned EvalContext bound to the same
-/// evaluator (e.g. the one a RunContext keeps) that the chain uses instead
-/// of constructing its own — a pure reuse optimization; results are
-/// bit-identical either way.
-SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
-                               const MappingSolution& initial,
-                               const SaOptions& options = {},
-                               EvalContext* scratch = nullptr);
 
 }  // namespace ides

@@ -1,10 +1,9 @@
 #include "core/tabu_search.h"
 
-#include <optional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
+#include "core/optimizer.h"
 #include "core/simulated_annealing.h"
 #include "model/system_model.h"
 #include "util/rng.h"
@@ -29,35 +28,27 @@ void validateOptions(const TabuOptions& options) {
   }
 }
 
-TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
-                         const MappingSolution& initial,
-                         const TabuOptions& options, EvalContext* scratch) {
-  validateOptions(options);
+TabuSearchOptimizer::TabuSearchOptimizer(TabuOptions options)
+    : options_(options) {
+  validateOptions(options_);
+}
+
+std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
+                                         MappingSolution& solution,
+                                         RunContext& context,
+                                         RunReport& report) const {
+  const TabuOptions& options = options_;
   const SystemModel& sys = evaluator.system();
+  const SaMoveProposer proposer(evaluator, options.probRemap,
+                                options.probProcessHint);
+  EvalContext& ctx = context.evalContext(evaluator);
 
-  // Reuse the SA move kernel; only the mix knobs carry over.
-  SaOptions kernel;
-  kernel.probRemap = options.probRemap;
-  kernel.probProcessHint = options.probProcessHint;
-  const SaMoveProposer proposer(evaluator, kernel);
-
-  std::optional<EvalContext> owned;
-  EvalContext* ctx = nullptr;
-  if (options.incrementalEval) {
-    ctx = scratch != nullptr ? scratch : &owned.emplace(evaluator);
-  }
-
-  TabuResult result;
-  MappingSolution current = initial;
-  EvalResult curEval =
-      ctx != nullptr ? ctx->evaluate(current) : evaluator.evaluate(current);
-  result.evaluations = 1;
-  if (!curEval.feasible) {
-    throw std::invalid_argument(
-        "runTabuSearch: initial solution must be feasible");
-  }
-  result.solution = current;
-  result.eval = curEval;
+  // `solution` keeps the best feasible state seen; the walk moves
+  // `current`.
+  MappingSolution current = solution;
+  EvalResult curEval = options.incrementalEval ? ctx.evaluate(current)
+                                               : evaluator.evaluate(current);
+  std::size_t evaluations = 1;
   double bestCost = curEval.cost;
 
   // Recency memory, expiry-stamped: an attribute is tabu while its stamp is
@@ -89,8 +80,8 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
   MappingSolution candidate;
 
   for (int iter = 0; iter < options.iterations; ++iter) {
-    if (options.stop != nullptr && options.stop->stopRequested()) {
-      result.stopped = true;
+    if (context.stopRequested()) {
+      report.stopped = true;
       break;
     }
 
@@ -105,14 +96,14 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
     EvalResult choiceEval;
     for (int c = 0; c < options.candidates; ++c) {
       const SaMove move = proposer.propose(current, proposalRng);
-      ++result.proposals;
+      ++report.proposals;
       if (move.kind == SaMove::Kind::None) continue;
       candidate = current;
       SaMoveProposer::apply(move, candidate);
-      const EvalResult eval = ctx != nullptr
-                                  ? ctx->evaluate(candidate, move.evalHint)
+      const EvalResult eval = options.incrementalEval
+                                  ? ctx.evaluate(candidate, move.evalHint)
                                   : evaluator.evaluate(candidate);
-      ++result.evaluations;
+      ++evaluations;
       // Aspiration: a tabu move that beats the incumbent is admissible.
       const bool admissible = !isTabu(move, iter) ||
                               (eval.feasible && eval.cost < bestCost);
@@ -150,15 +141,16 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
     }
     SaMoveProposer::apply(choiceMove, current);
     curEval = choiceEval;
-    ++result.accepted;
+    ++report.accepted;
 
     if (curEval.feasible && curEval.cost < bestCost) {
       bestCost = curEval.cost;
-      result.solution = current;
-      result.eval = curEval;
+      solution = current;
     }
   }
-  return result;
+  report.objective = bestCost;
+  context.report({"tabu", "improve", evaluations, 0, bestCost});
+  return evaluations;
 }
 
 }  // namespace ides

@@ -11,17 +11,14 @@
 // on the memory to escape local minima — so one proposal RNG stream fully
 // determines the trajectory.
 //
-// Determinism: the result is a pure function of (evaluator, initial,
-// options); incrementalEval only switches the evaluation engine
-// (bit-identical by EvalContext's verified-hint contract), and an unfired
-// stop token leaves the trajectory untouched.
+// The search runs as TabuSearchOptimizer (core/optimizer.h), polling
+// RunContext::stop once per iteration. Determinism: the result is a pure
+// function of (evaluator, initial, options); incrementalEval only switches
+// the evaluation engine (bit-identical by EvalContext's verified-hint
+// contract), and an unfired stop token leaves the trajectory untouched.
 #pragma once
 
 #include <cstdint>
-
-#include "core/evaluator.h"
-#include "sched/mapping.h"
-#include "util/stop_token.h"
 
 namespace ides {
 
@@ -39,36 +36,10 @@ struct TabuOptions {
   /// Evaluate candidates through the delta-aware EvalContext; results are
   /// bit-identical either way (pure performance switch, like SA's).
   bool incrementalEval = true;
-  /// Polled once per iteration; a fired token keeps the incumbent and sets
-  /// TabuResult::stopped.
-  const StopToken* stop = nullptr;
 };
 
 /// Range-checks every knob; throws std::invalid_argument naming the
 /// offending field.
 void validateOptions(const TabuOptions& options);
-
-struct TabuResult {
-  MappingSolution solution;  ///< best feasible solution seen
-  EvalResult eval;
-  /// Initial evaluation plus one per evaluated candidate.
-  std::size_t evaluations = 0;
-  /// Iterations that committed a move (== iterations run: tabu search
-  /// always moves).
-  std::size_t accepted = 0;
-  /// Proposals drawn from the kernel, None draws included.
-  std::size_t proposals = 0;
-  /// True when TabuOptions::stop ended the search before its budget.
-  bool stopped = false;
-};
-
-/// Requires `initial` to be feasible; throws std::invalid_argument
-/// otherwise. `scratch`, when given, is a caller-owned EvalContext bound to
-/// the same evaluator used instead of constructing one (pure reuse, same
-/// contract as runSimulatedAnnealing).
-TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
-                         const MappingSolution& initial,
-                         const TabuOptions& options = {},
-                         EvalContext* scratch = nullptr);
 
 }  // namespace ides

@@ -251,11 +251,7 @@ LifecycleReport runLifecycle(const LifecycleScenario& scenario,
     if (hasDeadline) stepStop.setTimeout(options.stepDeadlineSeconds);
     RunContext context;
     context.stop = hasDeadline ? &stepStop : options.stop;
-    bool warmAccepted = false;
-    context.progress = [&](const ProgressEvent& ev) {
-      if (ev.phase == "warm-start") warmAccepted = true;
-      if (options.progress) options.progress(ev);
-    };
+    context.progress = options.progress;
 
     const std::unique_ptr<Optimizer> optimizer =
         registry.create(options.strategy, stepOptions);
@@ -269,7 +265,7 @@ LifecycleReport runLifecycle(const LifecycleScenario& scenario,
         event.kind == LifecycleEventKind::PlatformPerturb ? 0 : event.uid;
     step.liveGraphs = living.graphs.size();
     step.liveProcesses = living.totalProcesses();
-    step.warmStart = warmAccepted;
+    step.warmStart = run.warmStarted;
     step.feasible = run.feasible;
     step.cost = run.objective;
     step.evaluations = run.evaluations;
@@ -288,7 +284,7 @@ LifecycleReport runLifecycle(const LifecycleScenario& scenario,
     }
     report.steps.push_back(step);
 
-    if (warmAccepted) ++report.warmStarts;
+    if (run.warmStarted) ++report.warmStarts;
     if (run.feasible) {
       ++report.feasibleSteps;
       commitPlacements(built, living, run.mapping, placements);

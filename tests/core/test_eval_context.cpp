@@ -6,9 +6,7 @@
 
 #include "core/evaluator.h"
 #include "core/initial_mapping.h"
-#include "core/mapping_heuristic.h"
-#include "core/parallel_annealing.h"
-#include "core/simulated_annealing.h"
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
@@ -276,55 +274,67 @@ TEST_F(EvalContextTest, StaleHintIsCorrectedNotTrusted) {
                      evaluator_->evaluate(trial));
 }
 
+/// Runs `optimizer` from the Initial Mapping on a fresh context.
+RunReport runFresh(const Optimizer& optimizer,
+                   const SolutionEvaluator& evaluator) {
+  RunContext context;
+  return optimizer.run(evaluator, context);
+}
+
+/// The counters and result a strategy run must keep across incrementalEval
+/// on/off; zeroDeltaSkips is the one counter the switch may move.
+void expectSameRun(const RunReport& fast, const RunReport& slow) {
+  EXPECT_EQ(fast.objective, slow.objective);
+  EXPECT_EQ(fast.evaluations, slow.evaluations);
+  EXPECT_EQ(fast.proposals, slow.proposals);
+  EXPECT_EQ(fast.accepted, slow.accepted);
+  EXPECT_TRUE(fast.mapping == slow.mapping);
+}
+
 TEST_F(EvalContextTest, SaIncrementalMatchesFullPass) {
   SaOptions opts;
   opts.seed = 5;
   opts.iterations = 1200;
   opts.incrementalEval = true;
-  const SaResult fast = runSimulatedAnnealing(*evaluator_, initial_, opts);
+  const RunReport fast =
+      runFresh(SimulatedAnnealingOptimizer(opts), *evaluator_);
   opts.incrementalEval = false;
-  const SaResult slow = runSimulatedAnnealing(*evaluator_, initial_, opts);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
-  EXPECT_EQ(fast.evaluations, slow.evaluations);
-  EXPECT_EQ(fast.accepted, slow.accepted);
-  EXPECT_TRUE(fast.solution == slow.solution);
+  const RunReport slow =
+      runFresh(SimulatedAnnealingOptimizer(opts), *evaluator_);
+  expectSameRun(fast, slow);
   // The zero-delta filter replays proposals without evaluating — but the
   // evaluation/acceptance counters above must stay invariant to it, and
   // full-pass mode (no fingerprint) never skips.
-  EXPECT_EQ(fast.proposals, slow.proposals);
   EXPECT_GT(fast.zeroDeltaSkips, 0u);
   EXPECT_EQ(slow.zeroDeltaSkips, 0u);
 }
 
 TEST_F(EvalContextTest, PsaIncrementalMatchesFullPass) {
-  ParallelSaOptions opts;
-  opts.base.seed = 5;
-  opts.base.iterations = 400;
-  opts.restarts = 3;
-  opts.threads = 2;
-  opts.base.incrementalEval = true;
-  const ParallelSaResult fast =
-      runParallelAnnealing(*evaluator_, initial_, opts);
-  opts.base.incrementalEval = false;
-  const ParallelSaResult slow =
-      runParallelAnnealing(*evaluator_, initial_, opts);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
-  EXPECT_EQ(fast.bestChain, slow.bestChain);
-  EXPECT_EQ(fast.chainCosts, slow.chainCosts);
-  EXPECT_TRUE(fast.solution == slow.solution);
+  SaOptions chain;
+  chain.seed = 5;
+  chain.iterations = 400;
+  ParallelSaOptions ensemble;
+  ensemble.restarts = 3;
+  ensemble.threads = 2;
+  chain.incrementalEval = true;
+  const RunReport fast =
+      runFresh(ParallelAnnealingOptimizer(chain, ensemble), *evaluator_);
+  chain.incrementalEval = false;
+  const RunReport slow =
+      runFresh(ParallelAnnealingOptimizer(chain, ensemble), *evaluator_);
+  expectSameRun(fast, slow);
+  EXPECT_EQ(slow.zeroDeltaSkips, 0u);
 }
 
 TEST_F(EvalContextTest, MhIncrementalMatchesFullPass) {
   MhOptions opts;
   opts.maxIterations = 64;
   opts.incrementalEval = true;
-  const MhResult fast = runMappingHeuristic(*evaluator_, initial_, opts);
+  const RunReport fast = runFresh(MappingHeuristicOptimizer(opts), *evaluator_);
   opts.incrementalEval = false;
-  const MhResult slow = runMappingHeuristic(*evaluator_, initial_, opts);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
-  EXPECT_EQ(fast.evaluations, slow.evaluations);
-  EXPECT_EQ(fast.iterations, slow.iterations);
-  EXPECT_TRUE(fast.solution == slow.solution);
+  const RunReport slow = runFresh(MappingHeuristicOptimizer(opts), *evaluator_);
+  expectSameRun(fast, slow);
+  EXPECT_NE(fast.mapping, initial_);  // MH moved off the Initial Mapping
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The pluggable optimizer API: registry resolution, bit-identity of the
-// interface against direct strategy calls, the graphs a cold start maps,
-// stop tokens, progress events, and options validation.
+// registry against directly built optimizers, the graphs a cold start maps,
+// warm-start reporting, stop tokens, progress events, and options
+// validation.
 #include "core/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -29,15 +30,6 @@ class OptimizerTest : public ::testing::Test {
     opts.psa.threads = 2;
     designer_ = std::make_unique<IncrementalDesigner>(suite_->system,
                                                       suite_->profile, opts);
-  }
-
-  /// The Initial Mapping every strategy starts from (the legacy flow).
-  MappingSolution initialSolution() const {
-    PlatformState state = designer_->evaluator().baseline();
-    const ScheduleOutcome im =
-        initialMapping(suite_->system, state);
-    EXPECT_TRUE(im.feasible);
-    return im.mapping;
   }
 
   std::unique_ptr<Suite> suite_;
@@ -83,27 +75,33 @@ TEST_F(OptimizerTest, DuplicateRegistrationThrows) {
 }
 
 TEST_F(OptimizerTest, SaThroughInterfaceIsBitIdenticalToDirectCall) {
-  SaOptions sa = designer_->options().sa;
-  const SaResult direct = runSimulatedAnnealing(
-      designer_->evaluator(), initialSolution(), sa);
+  // The registry factory hands DesignerOptions::sa to the SA optimizer.
+  const SimulatedAnnealingOptimizer sa(designer_->options().sa);
+  RunContext context;
+  const RunReport direct = sa.run(designer_->evaluator(), context);
 
   const RunReport viaName = designer_->run("SA");
   EXPECT_TRUE(viaName.feasible);
-  EXPECT_EQ(viaName.mapping, direct.solution);
-  EXPECT_EQ(viaName.objective, direct.eval.cost);
-  EXPECT_EQ(viaName.evaluations, direct.evaluations + 2);  // IM + final
+  EXPECT_EQ(viaName.mapping, direct.mapping);
+  EXPECT_EQ(viaName.objective, direct.objective);
+  EXPECT_EQ(viaName.evaluations, direct.evaluations);
+  EXPECT_EQ(viaName.proposals, direct.proposals);
 }
 
 TEST_F(OptimizerTest, PsaThroughInterfaceIsBitIdenticalToDirectCall) {
-  ParallelSaOptions psa = designer_->options().psa;
-  psa.base = designer_->options().sa;
-  const ParallelSaResult direct = runParallelAnnealing(
-      designer_->evaluator(), initialSolution(), psa);
+  // The registry factory builds PSA chains from DesignerOptions::sa and the
+  // ensemble from DesignerOptions::psa.
+  const ParallelAnnealingOptimizer psa(designer_->options().sa,
+                                       designer_->options().psa);
+  RunContext context;
+  const RunReport direct = psa.run(designer_->evaluator(), context);
 
   const RunReport viaName = designer_->run("PSA");
   EXPECT_TRUE(viaName.feasible);
-  EXPECT_EQ(viaName.mapping, direct.solution);
-  EXPECT_EQ(viaName.objective, direct.eval.cost);
+  EXPECT_EQ(viaName.mapping, direct.mapping);
+  EXPECT_EQ(viaName.objective, direct.objective);
+  EXPECT_EQ(viaName.evaluations, direct.evaluations);
+  EXPECT_EQ(viaName.proposals, direct.proposals);
 }
 
 TEST_F(OptimizerTest, RepeatedRunsThroughSharedContextAreRepeatable) {
@@ -131,7 +129,7 @@ TEST_F(OptimizerTest, PreFiredStopTokenDegradesSaToTheInitialMapping) {
 }
 
 TEST_F(OptimizerTest, PassedDeadlineStopsEveryStrategyGracefully) {
-  for (const char* name : {"MH", "SA", "PSA"}) {
+  for (const char* name : {"MH", "SA", "PSA", "tabu"}) {
     StopToken stop;
     stop.setTimeout(-1.0);  // already expired
     RunContext context;
@@ -194,18 +192,29 @@ TEST(OptimizerColdStart, MapsTheEvaluatorsOwnGraphs) {
   PlatformState state = empty;
   const ScheduleOutcome im = initialMapping(sys, state, {legacy});
   ASSERT_TRUE(im.feasible);
+  ASSERT_TRUE(probe.evalContext(evaluator).evaluate(im.mapping).feasible);
   for (const std::string name : {"AH", "MH"}) {
     RunContext context;
     const std::unique_ptr<Optimizer> optimizer =
         StrategyRegistry::builtin().create(name);
     const RunReport report = optimizer->run(evaluator, context, &seed);
     ASSERT_TRUE(report.feasible) << name;
+    EXPECT_FALSE(report.warmStarted) << name;
     EXPECT_EQ(report.mapping.nodeOf(procs[0]), NodeId{0}) << name;
     EXPECT_EQ(report.mapping.nodeOf(procs[1]), NodeId{1}) << name;
     EXPECT_FALSE(report.mapping.nodeOf(ids.diamond.p1).valid()) << name;
     if (name == "AH") {
       EXPECT_EQ(report.mapping, im.mapping);
     }
+
+    // A feasible seed is taken as the start and reported as such.
+    RunContext warmContext;
+    const RunReport warm = optimizer->run(evaluator, warmContext, &im.mapping);
+    ASSERT_TRUE(warm.feasible) << name;
+    EXPECT_TRUE(warm.warmStarted) << name;
+    // A cold run never reports a warm start.
+    RunContext coldContext;
+    EXPECT_FALSE(optimizer->run(evaluator, coldContext).warmStarted) << name;
   }
 }
 
@@ -272,6 +281,9 @@ TEST(OptimizerValidation, DesignerOptionsValidateEveryLayer) {
   opts = DesignerOptions{};
   opts.mh.busWindows = -1;
   EXPECT_THROW(validateOptions(opts), std::invalid_argument);
+  opts = DesignerOptions{};
+  opts.psa.restarts = 0;
+  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
 }
 
 TEST(OptimizerValidation, InvalidOptionsFailAtTheEntryPoints) {
@@ -283,19 +295,19 @@ TEST(OptimizerValidation, InvalidOptionsFailAtTheEntryPoints) {
   EXPECT_THROW((void)StrategyRegistry::builtin().create("SA", bad),
                std::invalid_argument);
 
-  IncrementalDesigner designer(suite.system, suite.profile);
-  PlatformState state = designer.evaluator().baseline();
-  const ScheduleOutcome im = initialMapping(suite.system, state);
-  ASSERT_TRUE(im.feasible);
   SaOptions badSa;
   badSa.iterations = -1;
-  EXPECT_THROW((void)runSimulatedAnnealing(designer.evaluator(), im.mapping,
-                                           badSa),
-               std::invalid_argument);
+  EXPECT_THROW((void)SimulatedAnnealingOptimizer(badSa), std::invalid_argument);
+  EXPECT_THROW((void)ParallelAnnealingOptimizer(badSa), std::invalid_argument);
   MhOptions badMh;
   badMh.maxIterations = -1;
-  EXPECT_THROW((void)runMappingHeuristic(designer.evaluator(), im.mapping,
-                                         badMh),
+  EXPECT_THROW((void)MappingHeuristicOptimizer(badMh), std::invalid_argument);
+  TabuOptions badTabu;
+  badTabu.candidates = 0;
+  EXPECT_THROW((void)TabuSearchOptimizer(badTabu), std::invalid_argument);
+  ParallelSaOptions badPsa;
+  badPsa.restarts = 0;
+  EXPECT_THROW((void)ParallelAnnealingOptimizer(SaOptions{}, badPsa),
                std::invalid_argument);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/initial_mapping.h"
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
@@ -32,6 +33,12 @@ class SaTest : public ::testing::Test {
     return opts;
   }
 
+  /// SA from the Initial Mapping (im_) through Optimizer::run.
+  RunReport runSa(const SaOptions& opts) const {
+    RunContext context;
+    return SimulatedAnnealingOptimizer(opts).run(*eval_, context);
+  }
+
   std::unique_ptr<Suite> suite_;
   std::unique_ptr<FrozenBase> frozen_;
   std::unique_ptr<SolutionEvaluator> eval_;
@@ -40,40 +47,39 @@ class SaTest : public ::testing::Test {
 
 TEST_F(SaTest, BestSolutionIsFeasibleAndNeverWorseThanInitial) {
   const double initialCost = eval_->evaluate(im_.mapping).cost;
-  const SaResult sa = runSimulatedAnnealing(*eval_, im_.mapping,
-                                            fastOptions());
-  EXPECT_TRUE(sa.eval.feasible);
-  EXPECT_LE(sa.eval.cost, initialCost + 1e-9);
+  const RunReport sa = runSa(fastOptions());
+  EXPECT_TRUE(sa.feasible);
+  EXPECT_LE(sa.objective, initialCost + 1e-9);
   // Re-evaluating the returned solution reproduces the reported cost.
-  EXPECT_DOUBLE_EQ(eval_->evaluate(sa.solution).cost, sa.eval.cost);
+  EXPECT_DOUBLE_EQ(eval_->evaluate(sa.mapping).cost, sa.objective);
 }
 
 TEST_F(SaTest, ImprovesOnThisInstance) {
   const double initialCost = eval_->evaluate(im_.mapping).cost;
-  const SaResult sa = runSimulatedAnnealing(*eval_, im_.mapping,
-                                            fastOptions());
-  EXPECT_LT(sa.eval.cost, initialCost);
+  const RunReport sa = runSa(fastOptions());
+  EXPECT_LT(sa.objective, initialCost);
 }
 
 TEST_F(SaTest, SameSeedSameResult) {
-  const SaResult a = runSimulatedAnnealing(*eval_, im_.mapping,
-                                           fastOptions(5));
-  const SaResult b = runSimulatedAnnealing(*eval_, im_.mapping,
-                                           fastOptions(5));
-  EXPECT_DOUBLE_EQ(a.eval.cost, b.eval.cost);
+  const RunReport a = runSa(fastOptions(5));
+  const RunReport b = runSa(fastOptions(5));
+  EXPECT_DOUBLE_EQ(a.objective, b.objective);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.solution, b.solution);
+  EXPECT_EQ(a.mapping, b.mapping);
 }
 
 TEST_F(SaTest, EvaluationCountMatchesIterations) {
   SaOptions opts = fastOptions();
   opts.iterations = 500;
-  const SaResult sa = runSimulatedAnnealing(*eval_, im_.mapping, opts);
-  // One initial evaluation plus at most one per iteration (message moves
-  // can be skipped when the app has no messages; this one has plenty).
-  EXPECT_GT(sa.evaluations, 450u);
-  EXPECT_LE(sa.evaluations, 501u);
+  const RunReport sa = runSa(opts);
+  // Besides the IM and the final evaluation, the chain evaluates its start
+  // once plus at most once per iteration (message moves can be skipped
+  // when the app has no messages; this one has plenty).
+  const std::size_t chain = sa.evaluations - 2;
+  EXPECT_GT(chain, 450u);
+  EXPECT_LE(chain, 501u);
+  EXPECT_EQ(sa.proposals, 500u);
   EXPECT_GT(sa.accepted, 0u);
 }
 
@@ -82,27 +88,9 @@ TEST_F(SaTest, LongerBudgetDoesNotHurt) {
   shortOpts.iterations = 200;
   SaOptions longOpts = fastOptions(3);
   longOpts.iterations = 3000;
-  const double shortCost =
-      runSimulatedAnnealing(*eval_, im_.mapping, shortOpts).eval.cost;
-  const double longCost =
-      runSimulatedAnnealing(*eval_, im_.mapping, longOpts).eval.cost;
+  const double shortCost = runSa(shortOpts).objective;
+  const double longCost = runSa(longOpts).objective;
   EXPECT_LE(longCost, shortCost + 1e-9);
-}
-
-TEST_F(SaTest, ThrowsOnInfeasibleInitial) {
-  // Construct an infeasible start by hinting a current process beyond its
-  // deadline window on the same mapping.
-  MappingSolution bad = im_.mapping;
-  const GraphId g = eval_->currentGraphs().front();
-  const ProcessGraph& graph = suite_->system.graph(g);
-  const ProcessId p = graph.processes.front();
-  bad.setStartHint(p, graph.deadline - 1);
-  if (!eval_->evaluate(bad).feasible) {
-    EXPECT_THROW(runSimulatedAnnealing(*eval_, bad, fastOptions()),
-                 std::invalid_argument);
-  } else {
-    GTEST_SKIP() << "hint did not break feasibility on this instance";
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tabu search: determinism, the incremental-evaluation bit-identity
-// contract, registry integration against a direct call, stop-token
-// discipline, and options validation.
+// contract, registry integration against a directly built optimizer,
+// stop-token discipline, and options validation.
 #include "core/tabu_search.h"
 
 #include <gtest/gtest.h>
@@ -32,6 +32,15 @@ class TabuSearchTest : public ::testing::Test {
     initial_ = im.mapping;
   }
 
+  /// Tabu search from the Initial Mapping (initial_) through
+  /// Optimizer::run.
+  RunReport runTabu(const TabuOptions& options,
+                    const StopToken* stop = nullptr) const {
+    RunContext context;
+    context.stop = stop;
+    return TabuSearchOptimizer(options).run(designer_->evaluator(), context);
+  }
+
   std::unique_ptr<Suite> suite_;
   DesignerOptions options_;
   std::unique_ptr<IncrementalDesigner> designer_;
@@ -39,18 +48,16 @@ class TabuSearchTest : public ::testing::Test {
 };
 
 TEST_F(TabuSearchTest, RunsAreDeterministicAndNeverWorseThanTheInitial) {
-  const TabuResult first =
-      runTabuSearch(designer_->evaluator(), initial_, options_.tabu);
-  const TabuResult second =
-      runTabuSearch(designer_->evaluator(), initial_, options_.tabu);
+  const RunReport first = runTabu(options_.tabu);
+  const RunReport second = runTabu(options_.tabu);
 
-  EXPECT_TRUE(first.eval.feasible);
+  EXPECT_TRUE(first.feasible);
   // Best-so-far discipline: the result is at most the initial cost.
   const EvalResult start = designer_->evaluator().evaluate(initial_);
-  EXPECT_LE(first.eval.cost, start.cost);
+  EXPECT_LE(first.objective, start.cost);
 
-  EXPECT_EQ(first.solution, second.solution);
-  EXPECT_EQ(first.eval.cost, second.eval.cost);
+  EXPECT_EQ(first.mapping, second.mapping);
+  EXPECT_EQ(first.objective, second.objective);
   EXPECT_EQ(first.evaluations, second.evaluations);
   EXPECT_EQ(first.proposals, second.proposals);
   EXPECT_EQ(first.accepted, second.accepted);
@@ -61,63 +68,44 @@ TEST_F(TabuSearchTest, IncrementalEvalIsAPurePerformanceSwitch) {
   incremental.incrementalEval = true;
   TabuOptions stateless = options_.tabu;
   stateless.incrementalEval = false;
-  const TabuResult fast =
-      runTabuSearch(designer_->evaluator(), initial_, incremental);
-  const TabuResult slow =
-      runTabuSearch(designer_->evaluator(), initial_, stateless);
-  EXPECT_EQ(fast.solution, slow.solution);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
+  const RunReport fast = runTabu(incremental);
+  const RunReport slow = runTabu(stateless);
+  EXPECT_EQ(fast.mapping, slow.mapping);
+  EXPECT_EQ(fast.objective, slow.objective);
   EXPECT_EQ(fast.evaluations, slow.evaluations);
+  EXPECT_EQ(fast.proposals, slow.proposals);
   EXPECT_EQ(fast.accepted, slow.accepted);
 }
 
 TEST_F(TabuSearchTest, RegistryRunIsBitIdenticalToTheDirectCall) {
-  const TabuResult direct =
-      runTabuSearch(designer_->evaluator(), initial_, options_.tabu);
+  // The registry factory hands DesignerOptions::tabu to the optimizer.
+  const RunReport direct = runTabu(options_.tabu);
   const RunReport viaName = designer_->run("tabu");
   EXPECT_TRUE(viaName.feasible);
-  EXPECT_EQ(viaName.mapping, direct.solution);
-  EXPECT_EQ(viaName.objective, direct.eval.cost);
-  EXPECT_EQ(viaName.evaluations, direct.evaluations + 2);  // IM + final
+  EXPECT_EQ(viaName.mapping, direct.mapping);
+  EXPECT_EQ(viaName.objective, direct.objective);
+  EXPECT_EQ(viaName.evaluations, direct.evaluations);
+  EXPECT_EQ(viaName.proposals, direct.proposals);
 }
 
 TEST_F(TabuSearchTest, PreFiredStopKeepsTheInitialSolution) {
   StopToken stop;
   stop.requestStop();
-  TabuOptions options = options_.tabu;
-  options.stop = &stop;
-  const TabuResult stopped =
-      runTabuSearch(designer_->evaluator(), initial_, options);
+  const RunReport stopped = runTabu(options_.tabu, &stop);
   EXPECT_TRUE(stopped.stopped);
-  EXPECT_EQ(stopped.solution, initial_);
-  EXPECT_EQ(stopped.evaluations, 1u);  // only the initial evaluation
+  EXPECT_EQ(stopped.mapping, initial_);
+  EXPECT_EQ(stopped.evaluations, 2u);  // only the IM and the final pass
   EXPECT_EQ(stopped.accepted, 0u);
 }
 
 TEST_F(TabuSearchTest, UnfiredStopTokenLeavesTheTrajectoryUntouched) {
   StopToken stop;  // never fires
-  TabuOptions withToken = options_.tabu;
-  withToken.stop = &stop;
-  const TabuResult guarded =
-      runTabuSearch(designer_->evaluator(), initial_, withToken);
-  const TabuResult plain =
-      runTabuSearch(designer_->evaluator(), initial_, options_.tabu);
+  const RunReport guarded = runTabu(options_.tabu, &stop);
+  const RunReport plain = runTabu(options_.tabu);
   EXPECT_FALSE(guarded.stopped);
-  EXPECT_EQ(guarded.solution, plain.solution);
-  EXPECT_EQ(guarded.eval.cost, plain.eval.cost);
-}
-
-TEST_F(TabuSearchTest, InfeasibleInitialSolutionThrows) {
-  // Start hints far past the deadline: legal, but never feasible.
-  MappingSolution bad = initial_;
-  for (std::size_t i = 0; i < bad.processCount(); ++i) {
-    bad.setStartHint(ProcessId{static_cast<std::int32_t>(i)},
-                     suite_->system.hyperperiod());
-  }
-  ASSERT_FALSE(designer_->evaluator().evaluate(bad).feasible);
-  EXPECT_THROW(
-      (void)runTabuSearch(designer_->evaluator(), bad, options_.tabu),
-      std::invalid_argument);
+  EXPECT_EQ(guarded.mapping, plain.mapping);
+  EXPECT_EQ(guarded.objective, plain.objective);
+  EXPECT_EQ(guarded.evaluations, plain.evaluations);
 }
 
 TEST(TabuValidation, KnobsAreRangeChecked) {

@@ -2,6 +2,9 @@
 // own invariant checker (sched/validate) — the executable specification.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/incremental_designer.h"
 #include "model/system_model.h"
 #include "sched/validate.h"
@@ -18,19 +21,28 @@ struct FuzzCase {
   std::size_t current;
 };
 
-std::string fuzzName(const ::testing::TestParamInfo<FuzzCase>& info) {
+std::string fuzzLabel(const FuzzCase& c) {
   // Built up with += (not one chained +) to sidestep a GCC 12 -Wrestrict
   // false positive on "literal" + std::string rvalue chains at -O2.
   std::string name = "n";
-  name += std::to_string(info.param.nodes);
+  name += std::to_string(c.nodes);
   name += "_e";
-  name += std::to_string(info.param.existing);
+  name += std::to_string(c.existing);
   name += "_c";
-  name += std::to_string(info.param.current);
+  name += std::to_string(c.current);
   name += "_s";
-  name += std::to_string(info.param.seed);
+  name += std::to_string(c.seed);
   return name;
 }
+
+std::string fuzzName(const ::testing::TestParamInfo<FuzzCase>& info) {
+  return fuzzLabel(info.param);
+}
+
+// Without this, gtest prints the parameter as its raw bytes, padding
+// included, and the ctest names built from that output change from build
+// to build.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << fuzzLabel(c); }
 
 class FuzzValidation : public ::testing::TestWithParam<FuzzCase> {};
 

@@ -2,6 +2,8 @@
 // instances, across seeds and strategies.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <unordered_map>
 
 #include "core/incremental_designer.h"
@@ -17,10 +19,18 @@ struct Case {
   const char* strategy;  ///< StrategyRegistry name
 };
 
-std::string caseName(const ::testing::TestParamInfo<Case>& info) {
-  return std::string(info.param.strategy) + "_seed" +
-         std::to_string(info.param.seed);
+std::string caseLabel(const Case& c) {
+  return std::string(c.strategy) + "_seed" + std::to_string(c.seed);
 }
+
+std::string caseName(const ::testing::TestParamInfo<Case>& info) {
+  return caseLabel(info.param);
+}
+
+// Without this, gtest prints the parameter as its raw bytes, padding and
+// pointer included, and the ctest names built from that output change from
+// build to build.
+void PrintTo(const Case& c, std::ostream* os) { *os << caseLabel(c); }
 
 class ScheduleInvariants : public ::testing::TestWithParam<Case> {
  protected:
