@@ -105,7 +105,7 @@ struct CliArgs {
   std::uint64_t seed = 1;
   std::string strategy = "MH";
   int saIterations = 0;  // 0 = SaOptions default
-  int threads = 0;       // PSA: 0 = hardware concurrency
+  int threads = 0;       // PSA and tabu: 0 = hardware concurrency
   int restarts = 4;      // PSA: chains
   bool listStrategies = false;
   std::string suiteName;   // sweep: which paper sweep to run
@@ -150,7 +150,8 @@ void usage() {
       "                 see --list-strategies)\n"
       "  --sa-iters N   SA iterations (per chain for PSA)\n"
       "  --restarts K   PSA chains               (default 4)\n"
-      "  --threads T    PSA threads, 0 = all cores (default 0)\n"
+      "  --threads T    PSA and tabu threads, 0 = all cores (default 0);\n"
+      "                 results are bit-identical for every value\n"
       "  --deadline S   cooperative wall-clock budget in seconds; the run\n"
       "                 stops early with its best solution so far\n"
       "  --json         design: print the deterministic result JSON (the\n"

@@ -3,13 +3,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "core/incremental_designer.h"
+#include "util/fork_join.h"
 #include "util/json_reader.h"
 #include "util/provenance.h"
 
@@ -68,58 +68,36 @@ BatchReport runBatch(const InstanceSuite& suite, const BatchOptions& options) {
     slot.suiteSeed = instance.suiteSeed;
   }
 
-  // Shard workers claim instances through the atomic counter; slot i of
-  // `results` is written only by the worker that claimed instance i, so the
-  // aggregate is in canonical order no matter which shard ran what.
-  std::atomic<std::size_t> next{0};
+  // The pool's threads claim instances; slot i of `results` is written only
+  // by the thread that ran instance i, so the aggregate is in canonical
+  // order no matter which shard ran what. Once the stop token fires, the
+  // instances not yet started are skipped (ran stays false). An instance's
+  // exception is rethrown after the batch, lowest instance index first.
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> cacheHits{0};
   std::mutex doneMutex;  // serializes onInstanceDone across shards
-  std::vector<std::exception_ptr> errors(shards);
-
-  auto worker = [&](unsigned shard) {
-    try {
-      while (true) {
-        if (options.stop != nullptr && options.stop->stopRequested()) break;
-        const std::size_t i =
-            next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        const BatchInstance& instance = suite.instances()[i];
-        InstanceResult& slot = report.results[i];
-        if (options.cache != nullptr &&
-            options.cache->lookup(instance, slot.outcome)) {
-          slot.cached = true;
-          cacheHits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          slot.outcome = runBatchInstance(instance, options.stop);
-          if (options.cache != nullptr) {
-            options.cache->store(instance, slot.outcome);
-          }
-        }
-        slot.ran = true;
-        completed.fetch_add(1, std::memory_order_relaxed);
-        if (options.onInstanceDone) {
-          const std::lock_guard<std::mutex> lock(doneMutex);
-          options.onInstanceDone(slot);
-        }
+  ForkJoinPool pool(static_cast<int>(shards));
+  pool.run(count, [&](std::size_t i, int) {
+    if (options.stop != nullptr && options.stop->stopRequested()) return;
+    const BatchInstance& instance = suite.instances()[i];
+    InstanceResult& slot = report.results[i];
+    if (options.cache != nullptr &&
+        options.cache->lookup(instance, slot.outcome)) {
+      slot.cached = true;
+      cacheHits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      slot.outcome = runBatchInstance(instance, options.stop);
+      if (options.cache != nullptr) {
+        options.cache->store(instance, slot.outcome);
       }
-    } catch (...) {
-      errors[shard] = std::current_exception();
     }
-  };
-
-  if (shards <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s) pool.emplace_back(worker, s);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+    slot.ran = true;
+    completed.fetch_add(1, std::memory_order_relaxed);
+    if (options.onInstanceDone) {
+      const std::lock_guard<std::mutex> lock(doneMutex);
+      options.onInstanceDone(slot);
+    }
+  });
 
   report.completed = completed.load(std::memory_order_relaxed);
   report.cacheHits = cacheHits.load(std::memory_order_relaxed);

@@ -3,8 +3,8 @@
 // The paper's figures are strategy comparisons over suites of generated
 // instances (tgen presets × seeds × strategies). An InstanceSuite is the
 // flat, canonically ordered list of those instances; the runner shards it
-// across a thread pool and collects one result per instance back into
-// canonical order. Every instance is self-contained — its own generated
+// across a fork-join pool (util/fork_join.h) and collects one result per
+// instance back into canonical order. Every instance is self-contained — its own generated
 // system, evaluator, optimizer resolved by name from the built-in registry,
 // and deterministically derived seeds — so the aggregated report (and the
 // BENCH_*.json rendering) is bit-identical for ANY shard count; only the
@@ -184,8 +184,8 @@ InstanceOutcome runBatchInstance(const BatchInstance& instance,
                                  const StopToken* stop);
 
 /// Runs every instance and aggregates in canonical order. Throws
-/// std::invalid_argument for negative shards; rethrows the first instance
-/// exception after the pool drains.
+/// std::invalid_argument for negative shards; rethrows the exception of the
+/// lowest-indexed failing instance after every other instance has run.
 BatchReport runBatch(const InstanceSuite& suite,
                      const BatchOptions& options = {});
 

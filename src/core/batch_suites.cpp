@@ -292,8 +292,8 @@ void hashDesignerOptions(Fnv1aHasher& h, const DesignerOptions& opts) {
   h.f64(opts.tabu.probRemap);
   h.f64(opts.tabu.probProcessHint);
   // Excluded by design (bit-identical results across all values, asserted
-  // by the optimizer and annealing test suites): mh/sa/tabu.incrementalEval
-  // and psa.threads.
+  // by the optimizer, annealing and tabu test suites):
+  // mh/sa/tabu.incrementalEval, psa.threads and tabu.threads.
 }
 
 }  // namespace

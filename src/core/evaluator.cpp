@@ -186,10 +186,6 @@ EvalContext::EvalContext(const SolutionEvaluator& evaluator)
   }
   fineMarks_.resize(n);
   fineCount_.assign(n, 0);
-  nodeStamp_.assign(state_.nodeCount(), 0);
-  occStamp_.assign(state_.bus().slotCount() *
-                       static_cast<std::size_t>(state_.roundCount()),
-                   0);
 }
 
 std::size_t EvalContext::indexOfGraph(GraphId g) const {
@@ -257,38 +253,6 @@ std::size_t EvalContext::restartPosition(const MappingSolution& solution,
     }
   }
   return pos;
-}
-
-void EvalContext::beginDirty() {
-  if (++stamp_ == 0) {  // wrapped: reset the lazily-aged stamps
-    std::fill(nodeStamp_.begin(), nodeStamp_.end(), 0u);
-    std::fill(occStamp_.begin(), occStamp_.end(), 0u);
-    stamp_ = 1;
-  }
-  dirtyNodes_.clear();
-  dirtyOccs_.clear();
-}
-
-void EvalContext::collectDirty(PlatformState::Mark from) {
-  const std::vector<PlatformState::JournalEntry>& journal = state_.journal();
-  const auto rounds = static_cast<std::uint64_t>(state_.roundCount());
-  for (std::size_t i = from; i < journal.size(); ++i) {
-    const PlatformState::JournalEntry& e = journal[i];
-    if (e.kind == PlatformState::JournalEntry::Kind::Node) {
-      if (nodeStamp_[e.index] != stamp_) {
-        nodeStamp_[e.index] = stamp_;
-        dirtyNodes_.push_back(e.index);
-      }
-    } else {
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(e.index) * rounds +
-          static_cast<std::uint64_t>(e.round);
-      if (occStamp_[static_cast<std::size_t>(key)] != stamp_) {
-        occStamp_[static_cast<std::size_t>(key)] = stamp_;
-        dirtyOccs_.push_back(key);
-      }
-    }
-  }
 }
 
 void EvalContext::fillOutcome(ScheduleOutcome& outcome,
@@ -420,13 +384,10 @@ EvalResult EvalContext::run(const MappingSolution& solution,
     }
   }
 
-  // Dirty tracking for the metrics cache: the records about to be undone
-  // plus (after scheduling) the records newly committed.
-  const bool trackDirty = metricsCache_.valid();
-  if (trackDirty) {
-    beginDirty();
-    collectDirty(restartMark);
-  }
+  // Dirty tracking for the metrics cache: from here on the state stamps
+  // every node and slot occurrence the rollbacks undo or the schedulers
+  // commit.
+  state_.clearDirty();
 
   // Rewind: two resizes plus the journal rollback, for any granularity.
   state_.rollbackTo(restartMark);
@@ -452,12 +413,6 @@ EvalResult EvalContext::run(const MappingSolution& solution,
       // Drop the failed graph's partial placement so the checkpoints for
       // the prefix stay valid; the result still reports the partial
       // tallies, exactly like the full pass does.
-      if (trackDirty && checkpoints_[gi].mark < restartMark) {
-        // A failing mid-graph restart rewinds below the restart mark: the
-        // prefix records it undoes were not in the pre-rollback scan, so
-        // collect them before they leave the journal.
-        collectDirty(checkpoints_[gi].mark);
-      }
       state_.rollbackTo(checkpoints_[gi].mark);
       processes_.resize(checkpoints_[gi].processCount);
       messages_.resize(checkpoints_[gi].messageCount);
@@ -534,9 +489,9 @@ EvalResult EvalContext::run(const MappingSolution& solution,
   EvalResult result = makeResult(placed, misses, lateness);
   // Keep the metrics snapshot aligned on every evaluation once it exists —
   // including infeasible ones (cheap: only the dirty entries are touched).
-  if (trackDirty) {
-    collectDirty(restartMark);
-    metricsCache_.update(state_, dirtyNodes_, dirtyOccs_);
+  if (metricsCache_.valid()) {
+    metricsCache_.update(state_, state_.dirtyNodes(),
+                         state_.dirtyOccurrences());
   }
   if (result.feasible) {
     if (!metricsCache_.valid()) {

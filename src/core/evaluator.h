@@ -158,8 +158,9 @@ class SolutionEvaluator {
 ///    reference, and the cached EvalResult is returned without scheduling
 ///    or metrics work;
 ///  * incremental metrics — an IncrementalMetrics snapshot is kept in sync
-///    from the platform journal's dirty entries, so C1 containers and C2
-///    window minima are recomputed only where occupancy changed.
+///    from the nodes and slot occurrences the platform state stamps dirty
+///    while it rewinds and re-schedules, so C1 containers and C2 window
+///    minima are recomputed only where occupancy changed.
 /// Results stay bit-identical to the full pass by construction — the
 /// context verifies (never trusts) the hint, so a stale hint costs
 /// performance, not correctness. Not thread-safe: each optimization thread
@@ -256,13 +257,6 @@ class EvalContext {
   [[nodiscard]] std::size_t restartPosition(const MappingSolution& solution,
                                             std::size_t gi) const;
 
-  /// Dirty tracking for the metrics cache: reset the per-evaluation stamp,
-  /// then collect the journal records in [from, state mark) — called once
-  /// before the rollback and once after re-scheduling, so the dirty set
-  /// covers both the undone and the newly committed occupancy.
-  void beginDirty();
-  void collectDirty(PlatformState::Mark from);
-
   void fillOutcome(ScheduleOutcome& outcome, const MappingSolution& solution,
                    const EvalResult& result) const;
 
@@ -304,13 +298,8 @@ class EvalContext {
   EvalResult result_;
   bool resultValid_ = false;
 
-  /// Metrics snapshot kept in sync from the journal's dirty entries.
+  /// Metrics snapshot kept in sync from the state's dirty lists.
   IncrementalMetrics metricsCache_;
-  std::vector<std::uint32_t> dirtyNodes_;
-  std::vector<std::uint64_t> dirtyOccs_;
-  std::vector<std::uint32_t> nodeStamp_;  // per node, == stamp_ if dirty
-  std::vector<std::uint32_t> occStamp_;   // per slot occurrence
-  std::uint32_t stamp_ = 0;
 
   /// Zero-delta suffix comparison scratch (the re-scheduled entries of the
   /// restart graph before the rewind).

@@ -77,7 +77,7 @@ using ValueCounts = std::vector<std::pair<std::int64_t, std::int64_t>>;
 /// per-node free IntervalSets, the C1 capacity multisets with their totals,
 /// per-node per-window free ticks with row minima, and per-window bus free
 /// ticks — and re-derives only the nodes / slot occurrences named dirty (by
-/// the platform journal, see PlatformState::journal) since the last
+/// the journaled state, see PlatformState::dirtyNodes) since the last
 /// evaluation. A dirty node edits the C1 multiset only for the free
 /// intervals its old and new free sets do not share. Every maintained
 /// quantity is integral and order-independent (a multiset or a sum), so

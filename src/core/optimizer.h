@@ -247,8 +247,9 @@ class ParallelAnnealingOptimizer final : public Optimizer {
 };
 
 /// tabu — best-admissible local search with recency memory over the SA move
-/// kernel (core/tabu_search.h); the registry's proof that a strategy is one
-/// subclass plus one entry.
+/// kernel (core/tabu_search.h), each iteration's candidate batch evaluated
+/// on TabuOptions::threads threads; the registry's proof that a strategy is
+/// one subclass plus one entry.
 class TabuSearchOptimizer final : public Optimizer {
  public:
   explicit TabuSearchOptimizer(TabuOptions options = {});

@@ -1,8 +1,6 @@
 #include "core/parallel_annealing.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,6 +8,7 @@
 #include <vector>
 
 #include "core/optimizer.h"
+#include "util/fork_join.h"
 #include "util/rng.h"
 
 namespace ides {
@@ -72,49 +71,27 @@ std::size_t ParallelAnnealingOptimizer::improve(
     chainOptions.iterations = ensemble_.perChainIterations;
   }
 
-  unsigned threadBudget =
-      ensemble_.threads > 0 ? static_cast<unsigned>(ensemble_.threads)
-                            : std::thread::hardware_concurrency();
-  if (threadBudget == 0) threadBudget = 1;
-  const unsigned workers =
-      std::min<unsigned>(threadBudget, static_cast<unsigned>(chains));
+  const int threads =
+      ensemble_.threads > 0
+          ? ensemble_.threads
+          : static_cast<int>(std::thread::hardware_concurrency());
 
-  // Chain i writes only reports[i] / errors[i]; the atomic counter hands
-  // out chain indices, so no two workers touch the same slot. Each chain
-  // improves its own copy of the start in reports[i].mapping, on its own
-  // RunContext (so its own EvalContext) polling the caller's stop token.
+  // Chain i writes only reports[i]; the pool hands out chain indices, so no
+  // two threads touch the same slot. Each chain improves its own copy of
+  // the start in reports[i].mapping, on its own RunContext (so its own
+  // EvalContext) polling the caller's stop token. A chain's exception is
+  // rethrown after every chain has finished, lowest chain index first.
   std::vector<RunReport> reports(static_cast<std::size_t>(chains));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(chains));
-  std::atomic<int> next{0};
-
-  auto worker = [&]() {
-    for (int i = next.fetch_add(1, std::memory_order_relaxed); i < chains;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      RunReport& r = reports[static_cast<std::size_t>(i)];
-      try {
-        const SimulatedAnnealingOptimizer sa(chainOptionsFor(chainOptions, i));
-        RunContext chainContext;
-        chainContext.stop = context.stop;
-        r.mapping = solution;
-        r.evaluations = sa.improve(evaluator, r.mapping, chainContext, r);
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  ForkJoinPool pool(std::clamp(threads, 1, chains));
+  pool.run(reports.size(), [&](std::size_t i, int) {
+    RunReport& r = reports[i];
+    const SimulatedAnnealingOptimizer sa(
+        chainOptionsFor(chainOptions, static_cast<int>(i)));
+    RunContext chainContext;
+    chainContext.stop = context.stop;
+    r.mapping = solution;
+    r.evaluations = sa.improve(evaluator, r.mapping, chainContext, r);
+  });
 
   std::size_t evaluations = 0;
   std::size_t best = 0;

@@ -1,7 +1,8 @@
 // Parallel multi-start simulated annealing.
 //
 // Runs K independent SA chains with distinct, deterministically derived
-// seeds on a fixed-size std::thread pool and keeps the best feasible
+// seeds as one batch on a fork-join pool (util/fork_join.h, the pool tabu
+// search evaluates its candidates on) and keeps the best feasible
 // incumbent across chains. Chains 1..K-1 additionally diversify the
 // cooling schedule (colder and hotter starts around the base temperature),
 // hedging against a mistuned schedule on short per-chain budgets.
@@ -28,8 +29,8 @@ namespace ides {
 /// The ensemble shape; the per-chain SA configuration is a separate
 /// SaOptions whose seed seeds the whole ensemble.
 struct ParallelSaOptions {
-  /// Cap on concurrently running chains (one thread each); 0 means
-  /// std::thread::hardware_concurrency().
+  /// Cap on concurrently running chains (one thread each, the caller
+  /// included); 0 means std::thread::hardware_concurrency().
   int threads = 0;
   /// Number of independent chains (K). Must be >= 1.
   int restarts = 4;

@@ -1,14 +1,32 @@
 #include "core/tabu_search.h"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/optimizer.h"
 #include "core/simulated_annealing.h"
 #include "model/system_model.h"
+#include "util/fork_join.h"
 #include "util/rng.h"
 
 namespace ides {
+
+namespace {
+
+/// Threads evaluating each candidate batch: options.threads (0 = hardware
+/// concurrency), capped at the batch size since one candidate is the unit
+/// of work.
+int tabuThreads(const TabuOptions& options) {
+  int threads = options.threads > 0
+                    ? options.threads
+                    : static_cast<int>(std::thread::hardware_concurrency());
+  return std::clamp(threads, 1, options.candidates);
+}
+
+}  // namespace
 
 void validateOptions(const TabuOptions& options) {
   if (options.iterations < 0) {
@@ -16,6 +34,10 @@ void validateOptions(const TabuOptions& options) {
   }
   if (options.candidates < 1) {
     throw std::invalid_argument("TabuOptions: candidates must be >= 1");
+  }
+  if (options.threads < 0) {
+    throw std::invalid_argument(
+        "TabuOptions: threads must be >= 0 (0 = hardware concurrency)");
   }
   if (options.tenure < 0) {
     throw std::invalid_argument("TabuOptions: tenure must be >= 0");
@@ -77,7 +99,36 @@ std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
   };
 
   Rng proposalRng(rngStreamSeed(options.seed, kSaProposalStream));
-  MappingSolution candidate;
+
+  // The batch of one iteration: its moves, drawn up front in draw order,
+  // and each candidate's evaluation in its own slot. The pool evaluates the
+  // slots in any order on any thread; the selection below reads them in
+  // draw order, so the trajectory is the serial one at every thread count.
+  // Worker 0 is the caller, on the run's own EvalContext; every pool thread
+  // builds a private one on first use, plus a private candidate buffer.
+  const std::size_t batchSize = static_cast<std::size_t>(options.candidates);
+  std::vector<SaMove> moves(batchSize);
+  std::vector<EvalResult> evals(batchSize);
+  const int threads = tabuThreads(options);
+  std::vector<std::unique_ptr<EvalContext>> workerContexts(
+      static_cast<std::size_t>(threads));
+  std::vector<MappingSolution> scratch(static_cast<std::size_t>(threads));
+  const auto evaluateSlot = [&](std::size_t c, int worker) {
+    const SaMove& move = moves[c];
+    if (move.kind == SaMove::Kind::None) return;
+    const auto w = static_cast<std::size_t>(worker);
+    MappingSolution& candidate = scratch[w];
+    candidate = current;
+    SaMoveProposer::apply(move, candidate);
+    if (!options.incrementalEval) {
+      evals[c] = evaluator.evaluate(candidate);
+      return;
+    }
+    std::unique_ptr<EvalContext>& own = workerContexts[w];
+    if (worker > 0 && !own) own = std::make_unique<EvalContext>(evaluator);
+    evals[c] = (worker == 0 ? ctx : *own).evaluate(candidate, move.evalHint);
+  };
+  ForkJoinPool pool(threads);
 
   for (int iter = 0; iter < options.iterations; ++iter) {
     if (context.stopRequested()) {
@@ -85,40 +136,34 @@ std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
       break;
     }
 
-    // Draw and evaluate the candidate batch against the current state. The
-    // batch selection is deterministic: lowest cost wins, first-drawn on
-    // ties, admissible (non-tabu or aspiring) candidates strictly before
-    // inadmissible ones.
-    bool haveChoice = false;
+    // Draw the whole batch first: propose() reads only `current` and the
+    // RNG, so this is the stream the one-at-a-time loop would draw.
+    for (SaMove& move : moves) move = proposer.propose(current, proposalRng);
+    report.proposals += batchSize;
+    pool.run(batchSize, evaluateSlot);
+
+    // Select against the current state. The selection is deterministic:
+    // lowest cost wins, first-drawn on ties, admissible (non-tabu or
+    // aspiring) candidates strictly before inadmissible ones.
+    std::size_t choice = batchSize;  // none yet
     bool choiceAdmissible = false;
-    double choiceCost = 0.0;
-    SaMove choiceMove;
-    EvalResult choiceEval;
-    for (int c = 0; c < options.candidates; ++c) {
-      const SaMove move = proposer.propose(current, proposalRng);
-      ++report.proposals;
-      if (move.kind == SaMove::Kind::None) continue;
-      candidate = current;
-      SaMoveProposer::apply(move, candidate);
-      const EvalResult eval = options.incrementalEval
-                                  ? ctx.evaluate(candidate, move.evalHint)
-                                  : evaluator.evaluate(candidate);
+    for (std::size_t c = 0; c < batchSize; ++c) {
+      if (moves[c].kind == SaMove::Kind::None) continue;
+      const EvalResult& eval = evals[c];
       ++evaluations;
       // Aspiration: a tabu move that beats the incumbent is admissible.
-      const bool admissible = !isTabu(move, iter) ||
+      const bool admissible = !isTabu(moves[c], iter) ||
                               (eval.feasible && eval.cost < bestCost);
       const bool better =
-          !haveChoice || (admissible && !choiceAdmissible) ||
-          (admissible == choiceAdmissible && eval.cost < choiceCost);
+          choice == batchSize || (admissible && !choiceAdmissible) ||
+          (admissible == choiceAdmissible && eval.cost < evals[choice].cost);
       if (better) {
-        haveChoice = true;
+        choice = c;
         choiceAdmissible = admissible;
-        choiceCost = eval.cost;
-        choiceMove = move;
-        choiceEval = eval;
       }
     }
-    if (!haveChoice) continue;  // every draw was a None move
+    if (choice == batchSize) continue;  // every draw was a None move
+    const SaMove& choiceMove = moves[choice];
 
     // Stamp the reversed attribute tabu, then always take the move (the
     // memory, not the acceptance rule, provides the diversification).
@@ -140,7 +185,7 @@ std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
         break;
     }
     SaMoveProposer::apply(choiceMove, current);
-    curEval = choiceEval;
+    curEval = evals[choice];
     ++report.accepted;
 
     if (curEval.feasible && curEval.cost < bestCost) {

@@ -12,10 +12,20 @@
 // determines the trajectory.
 //
 // The search runs as TabuSearchOptimizer (core/optimizer.h), polling
-// RunContext::stop once per iteration. Determinism: the result is a pure
-// function of (evaluator, initial, options); incrementalEval only switches
-// the evaluation engine (bit-identical by EvalContext's verified-hint
-// contract), and an unfired stop token leaves the trajectory untouched.
+// RunContext::stop once per iteration. Each iteration's candidates are
+// independent of one another, so the batch is evaluated in parallel on a
+// fork-join pool (util/fork_join.h) that lives for one run: all moves are
+// drawn first, in draw order, then `threads` threads (the caller included)
+// claim candidates and write each evaluation to that candidate's slot, the
+// caller on the run's EvalContext and every other thread on a private one.
+// The selection then scans the slots in draw order, exactly as the
+// one-at-a-time loop would.
+//
+// Determinism: the result is a pure function of (evaluator, initial,
+// options minus threads and incrementalEval). threads only spreads the
+// evaluations over more contexts, and incrementalEval only switches the
+// evaluation engine — both bit-identical by EvalContext's verified-hint
+// contract — and an unfired stop token leaves the trajectory untouched.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +46,10 @@ struct TabuOptions {
   /// Evaluate candidates through the delta-aware EvalContext; results are
   /// bit-identical either way (pure performance switch, like SA's).
   bool incrementalEval = true;
+  /// Threads evaluating each candidate batch, the caller included; 0 means
+  /// std::thread::hardware_concurrency(), and the count is capped at
+  /// `candidates`. Result-neutral: every value gives the same trajectory.
+  int threads = 0;
 };
 
 /// Range-checks every knob; throws std::invalid_argument naming the

@@ -48,8 +48,9 @@ void PlatformState::occupyNode(NodeId node, Interval iv) {
   }
   busy.add(iv);
   if (journaling_) {
-    journal_.push_back({JournalEntry::Kind::Node,
-                        static_cast<std::uint32_t>(node.index()), iv, 0, 0});
+    const auto index = static_cast<std::uint32_t>(node.index());
+    journal_.push_back({JournalEntry::Kind::Node, index, iv, 0, 0});
+    touchNode(index);
   }
 }
 
@@ -99,12 +100,52 @@ void PlatformState::occupyBus(std::size_t slotIndex, std::int64_t round,
                         Interval{},
                         round,
                         txTicks});
+    touchOccurrence(slotIndex, round);
   }
 }
 
 void PlatformState::setJournaling(bool enabled) {
   journaling_ = enabled;
   journal_.clear();
+  dirtyNodes_.clear();
+  dirtyOccs_.clear();
+  stamp_ = 1;
+  if (enabled) {
+    nodeStamp_.assign(nodeBusy_.size(), 0);
+    occStamp_.assign(slotUsed_.size() * static_cast<std::size_t>(roundCount_),
+                     0);
+  } else {
+    nodeStamp_ = {};
+    occStamp_ = {};
+  }
+}
+
+void PlatformState::clearDirty() {
+  if (++stamp_ == 0) {  // wrapped: reset the lazily-aged stamps
+    std::fill(nodeStamp_.begin(), nodeStamp_.end(), 0u);
+    std::fill(occStamp_.begin(), occStamp_.end(), 0u);
+    stamp_ = 1;
+  }
+  dirtyNodes_.clear();
+  dirtyOccs_.clear();
+}
+
+void PlatformState::touchNode(std::uint32_t node) {
+  if (nodeStamp_[node] != stamp_) {
+    nodeStamp_[node] = stamp_;
+    dirtyNodes_.push_back(node);
+  }
+}
+
+void PlatformState::touchOccurrence(std::size_t slotIndex,
+                                    std::int64_t round) {
+  const std::size_t key =
+      slotIndex * static_cast<std::size_t>(roundCount_) +
+      static_cast<std::size_t>(round);
+  if (occStamp_[key] != stamp_) {
+    occStamp_[key] = stamp_;
+    dirtyOccs_.push_back(key);
+  }
 }
 
 void PlatformState::rollbackTo(Mark m) {
@@ -129,11 +170,13 @@ void PlatformState::rollbackTo(Mark m) {
     const JournalEntry& e = journal_[i];
     if (e.kind == JournalEntry::Kind::Node) {
       buckets[e.index].push_back(e.iv);
+      touchNode(e.index);
     } else {
       slotUsed_[e.index][static_cast<std::size_t>(e.round)] -= e.txTicks;
       // The freed ticks reopen this round: lower the cursor so findBusSlot
       // sees it again (rounds below it stay full, keeping the invariant).
       slotCursor_[e.index] = std::min(slotCursor_[e.index], e.round);
+      touchOccurrence(e.index, e.round);
     }
   }
   journal_.resize(m);

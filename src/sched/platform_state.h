@@ -118,13 +118,30 @@ class PlatformState {
     Time txTicks = 0;         ///< Bus: ticks consumed
   };
 
-  /// The journal records themselves, [0, mark()). Read-only dirty-tracking
-  /// hook: the records between two marks name exactly the nodes and slot
-  /// occurrences whose occupancy changed, which is what the incremental
-  /// metrics cache (core/evaluator.h) uses to recompute window minima and
-  /// slack containers only where occupancy actually moved.
+  /// The journal records themselves, [0, mark()). EvalContext saves the
+  /// downstream graphs' records before a rewind and hands them back to
+  /// replay() when the rewind turns out to have changed nothing.
   [[nodiscard]] const std::vector<JournalEntry>& journal() const {
     return journal_;
+  }
+
+  // ---- dirty tracking (journaling only) -----------------------------------
+
+  /// Forget the nodes and slot occurrences touched so far. While journaling
+  /// is on, every occupy and every record a rollback undoes stamps the node
+  /// or slot occurrence it changes, so dirtyNodes() / dirtyOccurrences()
+  /// name each one touched since the last clearDirty() exactly once. The
+  /// incremental metrics cache (core/evaluator.h) re-derives window minima
+  /// and slack containers only there, without walking the journal again.
+  void clearDirty();
+  /// Node indices, in first-touch order.
+  [[nodiscard]] const std::vector<std::uint32_t>& dirtyNodes() const {
+    return dirtyNodes_;
+  }
+  /// Slot occurrences as slotIndex * roundCount() + round, in first-touch
+  /// order.
+  [[nodiscard]] const std::vector<std::uint64_t>& dirtyOccurrences() const {
+    return dirtyOccs_;
   }
 
   /// Re-apply journal records captured before a rollback, through the normal
@@ -150,6 +167,16 @@ class PlatformState {
   std::vector<std::int64_t> slotCursor_;
   bool journaling_ = false;
   std::vector<JournalEntry> journal_;
+
+  void touchNode(std::uint32_t node);
+  void touchOccurrence(std::size_t slotIndex, std::int64_t round);
+  /// Dirty stamps, sized while journaling: an entry equal to stamp_ is
+  /// already listed since the last clearDirty().
+  std::vector<std::uint32_t> nodeStamp_;  // per node
+  std::vector<std::uint32_t> occStamp_;   // per slot occurrence
+  std::uint32_t stamp_ = 1;
+  std::vector<std::uint32_t> dirtyNodes_;
+  std::vector<std::uint64_t> dirtyOccs_;
 };
 
 }  // namespace ides

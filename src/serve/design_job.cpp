@@ -24,6 +24,7 @@ DesignerOptions designJobOptions(const DesignJobSpec& spec) {
   opts.sa.seed = spec.seed;
   if (spec.saIterations > 0) opts.sa.iterations = spec.saIterations;
   opts.psa.threads = spec.threads;
+  opts.tabu.threads = spec.threads;
   opts.psa.restarts = spec.restarts;
   return opts;
 }
@@ -31,8 +32,8 @@ DesignerOptions designJobOptions(const DesignJobSpec& spec) {
 std::string designJobFingerprint(const DesignJobSpec& spec) {
   // Two independently-seeded FNV lanes over the same field stream, the
   // sweep-store convention (see instanceFingerprint). threads is
-  // deliberately absent: it reshapes the search's parallelism, never its
-  // result.
+  // deliberately absent: it reshapes the parallelism of PSA and tabu
+  // (psa.threads, tabu.threads), never their results.
   Fnv1aHasher lanes[2] = {Fnv1aHasher(Fnv1aHasher::kDefaultBasis),
                           Fnv1aHasher(0x9e3779b97f4a7c15ULL)};
   for (Fnv1aHasher& h : lanes) {

@@ -26,7 +26,7 @@ struct DesignJobSpec {
   std::string strategy = "MH";
   int saIterations = 0;  ///< 0 = SaOptions default
   int restarts = 4;      ///< PSA chains
-  int threads = 0;       ///< PSA threads, 0 = all cores
+  int threads = 0;       ///< PSA and tabu threads, 0 = all cores
 };
 
 /// DesignerOptions derivation, identical to the CLI's flag mapping.
@@ -40,9 +40,10 @@ inline constexpr std::uint64_t kDesignFingerprintEpoch = 1;
 
 /// Stable 128-bit content fingerprint (32 hex chars) of one design job:
 /// every result-relevant spec field plus kDesignFingerprintEpoch, hashed
-/// the same two-lane FNV way as sweep instances. Deliberately EXCLUDED are
-/// the result-neutral knob the test suite defends — threads — so a result
-/// computed at any parallelism serves every other.
+/// the same two-lane FNV way as sweep instances. Deliberately EXCLUDED is
+/// the result-neutral knob the test suite defends — threads, which sets both
+/// psa.threads and tabu.threads — so a result computed at any parallelism
+/// serves every other.
 std::string designJobFingerprint(const DesignJobSpec& spec);
 
 struct DesignJobResult {

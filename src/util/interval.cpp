@@ -60,23 +60,42 @@ void IntervalSet::subtractSorted(const Interval* begin, const Interval* end) {
     subtract(*begin);
     return;
   }
-  // Build the survivor list in a reused buffer, then copy back into the
-  // member vector's existing capacity — the rollback hot path stays
-  // allocation-free after warm-up.
+  // Only members between the first and the last one the cuts overlap can
+  // change. The cuts are sorted and disjoint, so their ends ascend too:
+  // binary-search the span [first, last) and rewrite it alone — the frozen
+  // base around the undone suffix stays where it is.
+  const auto first = std::lower_bound(
+      intervals_.begin(), intervals_.end(), *begin,
+      [](const Interval& a, const Interval& b) { return a.end <= b.start; });
+  const auto last = std::lower_bound(
+      first, intervals_.end(), std::prev(end)->end,
+      [](const Interval& a, Time t) { return a.start < t; });
+  if (first == last) return;  // no overlap
+
+  // The span's survivors go to a reused buffer (a cut inside a member
+  // splits it, so they can outnumber the span), then back over the span;
+  // only a change in count moves the members behind it.
   static thread_local std::vector<Interval> buffer;
   buffer.clear();
   const Interval* cut = begin;
-  for (const Interval& member : intervals_) {
-    Time cursor = member.start;
+  for (auto member = first; member != last; ++member) {
+    Time cursor = member->start;
     while (cut != end && cut->end <= cursor) ++cut;
     const Interval* c = cut;
-    for (; c != end && c->start < member.end; ++c) {
+    for (; c != end && c->start < member->end; ++c) {
       if (c->start > cursor) buffer.push_back({cursor, c->start});
       cursor = std::max(cursor, c->end);
     }
-    if (cursor < member.end) buffer.push_back({cursor, member.end});
+    if (cursor < member->end) buffer.push_back({cursor, member->end});
   }
-  intervals_.assign(buffer.begin(), buffer.end());
+  const auto span = static_cast<std::size_t>(last - first);
+  if (buffer.size() <= span) {
+    intervals_.erase(std::copy(buffer.begin(), buffer.end(), first), last);
+  } else {
+    const auto extra = buffer.begin() + static_cast<std::ptrdiff_t>(span);
+    intervals_.insert(std::copy(buffer.begin(), extra, first), extra,
+                      buffer.end());
+  }
   checkInvariant();
 }
 

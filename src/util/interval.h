@@ -52,9 +52,11 @@ class IntervalSet {
   void subtract(Interval iv);
 
   /// Remove every interval of [begin, end) — sorted by start, pairwise
-  /// non-overlapping — in one linear pass. Equivalent to subtracting them
-  /// one by one; the journal rollback undoes whole scheduling suffixes this
-  /// way instead of paying a per-interval rewrite.
+  /// non-overlapping — in one pass over the members they overlap (found by
+  /// binary search; the members outside that span are not touched).
+  /// Equivalent to subtracting them one by one; the journal rollback undoes
+  /// whole scheduling suffixes this way instead of paying a per-interval
+  /// rewrite.
   void subtractSorted(const Interval* begin, const Interval* end);
 
   /// Total covered length.

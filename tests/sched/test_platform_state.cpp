@@ -230,6 +230,44 @@ TEST(PlatformStateJournal, EnablingClearsHistory) {
   EXPECT_EQ(st.nodeBusy(NodeId{0}).totalLength(), 10);
 }
 
+TEST(PlatformStateJournal, DirtyListsNameEveryTouchedPlaceOnce) {
+  PlatformState st = makeState();
+  st.occupyNode(NodeId{0}, {0, 15});  // journaling off: never dirty
+  st.occupyBus(1, 0, 2);
+  st.setJournaling(true);
+  EXPECT_TRUE(st.dirtyNodes().empty());
+  EXPECT_TRUE(st.dirtyOccurrences().empty());
+
+  const PlatformState::Mark m = st.mark();
+  st.occupyNode(NodeId{1}, {40, 60});
+  st.occupyNode(NodeId{1}, {70, 80});  // same node: listed once
+  st.occupyBus(0, 2, 3);
+  st.occupyBus(0, 2, 4);  // same occurrence: listed once
+  const auto occ = [&](std::size_t slot, std::int64_t round) {
+    return static_cast<std::uint64_t>(slot) *
+               static_cast<std::uint64_t>(st.roundCount()) +
+           static_cast<std::uint64_t>(round);
+  };
+  EXPECT_EQ(st.dirtyNodes(), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(st.dirtyOccurrences(), (std::vector<std::uint64_t>{occ(0, 2)}));
+
+  // A rollback stamps what it undoes: after clearDirty, the undone node
+  // and occurrence are dirty again, and a fresh occupy adds its own.
+  st.clearDirty();
+  EXPECT_TRUE(st.dirtyNodes().empty());
+  st.rollbackTo(m);
+  st.occupyNode(NodeId{0}, {20, 30});
+  st.occupyBus(1, 3, 1);
+  EXPECT_EQ(st.dirtyNodes(), (std::vector<std::uint32_t>{1, 0}));
+  EXPECT_EQ(st.dirtyOccurrences(),
+            (std::vector<std::uint64_t>{occ(0, 2), occ(1, 3)}));
+
+  st.setJournaling(false);  // off again: lists cleared, nothing stamped
+  st.occupyNode(NodeId{1}, {150, 160});
+  EXPECT_TRUE(st.dirtyNodes().empty());
+  EXPECT_TRUE(st.dirtyOccurrences().empty());
+}
+
 // ---- first-free-round cursor ---------------------------------------------
 // findBusSlot keeps a per-slot cursor past the fully-booked round prefix.
 // These tests pin the invariant: placements are identical to a plain linear

@@ -385,10 +385,13 @@ TEST(DesignJobFingerprint, IsStableAndIgnoresResultNeutralKnobs) {
   EXPECT_EQ(designJobFingerprint(spec), fp);
 
   // threads changes how fast a job runs, never what it returns —
-  // identical fingerprint, shared cache slot.
+  // identical fingerprint, shared cache slot. It sets both PSA's chain
+  // threads and tabu's batch-evaluation threads.
   DesignJobSpec tuned = spec;
   tuned.threads = 8;
   EXPECT_EQ(designJobFingerprint(tuned), fp);
+  EXPECT_EQ(designJobOptions(tuned).psa.threads, 8);
+  EXPECT_EQ(designJobOptions(tuned).tabu.threads, 8);
 
   DesignJobSpec other = spec;
   other.seed = spec.seed + 1;

@@ -217,6 +217,9 @@ TEST(InstanceFingerprintTest, StableAcrossCallsAndSensitiveToInputs) {
   neutral.options.sa.incrementalEval = false;
   neutral.options.psa.threads = 8;
   EXPECT_EQ(instanceFingerprint("unit-store", neutral), fp);
+  neutral.options.tabu.threads = 3;
+  neutral.options.tabu.incrementalEval = false;
+  EXPECT_EQ(instanceFingerprint("unit-store", neutral), fp);
 }
 
 TEST(InstanceFingerprintTest, NamedSweepFingerprintsAreUnique) {

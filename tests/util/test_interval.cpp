@@ -4,6 +4,7 @@
 
 #include <random>
 #include <sstream>
+#include <vector>
 
 namespace ides {
 namespace {
@@ -209,6 +210,53 @@ TEST_P(IntervalSetProperty, ComplementRoundTripsAndPartitions) {
   for (const Interval& f : free.intervals()) {
     EXPECT_FALSE(busy.intersects(f));
   }
+}
+
+// Property: subtractSorted, which rewrites only the span of members the
+// cuts overlap, equals subtracting the cuts one by one. The cuts fall in a
+// random sub-window, so the members before and after the span must come
+// through untouched; they split members (growing the set), swallow them
+// (shrinking it), land in gaps and touch member edges.
+TEST_P(IntervalSetProperty, SubtractSortedMatchesOneByOneSubtract) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) + 1000);
+  const auto pick = [&rng](Time lo, Time hi) {
+    return std::uniform_int_distribution<Time>(lo, hi)(rng);
+  };
+  for (int round = 0; round < 20; ++round) {
+    IntervalSet set;
+    for (int i = 0; i < 120; ++i) {
+      const Time a = pick(0, 5000);
+      set.add({a, a + pick(1, 50)});
+    }
+    const Time lo = pick(0, 4000);
+    const Time hi = lo + pick(1, 1200);
+    std::vector<Interval> cuts;
+    for (Time t = lo + pick(0, 40); t < hi; t += pick(0, 60)) {
+      const Time len = pick(1, round % 2 == 0 ? 15 : 150);
+      cuts.push_back({t, t + len});
+      t += len;
+    }
+    IntervalSet expected = set;
+    for (const Interval& cut : cuts) expected.subtract(cut);
+    set.subtractSorted(cuts.data(), cuts.data() + cuts.size());
+    EXPECT_EQ(set, expected) << "round " << round;
+  }
+}
+
+TEST(IntervalSet, SubtractSortedSplitsAndSwallowsInsideTheSpan) {
+  IntervalSet set({{0, 10}, {20, 60}, {70, 80}, {90, 100}, {200, 210}});
+  // Two cuts split [20, 60) into three; one swallows [70, 80) whole.
+  const std::vector<Interval> cuts{{25, 30}, {40, 45}, {65, 85}};
+  set.subtractSorted(cuts.data(), cuts.data() + cuts.size());
+  EXPECT_EQ(set, IntervalSet({{0, 10},
+                              {20, 25},
+                              {30, 40},
+                              {45, 60},
+                              {90, 100},
+                              {200, 210}}));
+  const std::vector<Interval> gaps{{10, 20}, {60, 90}};  // only gaps: no-op
+  set.subtractSorted(gaps.data(), gaps.data() + gaps.size());
+  EXPECT_EQ(set.size(), 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty, ::testing::Range(0, 25));
